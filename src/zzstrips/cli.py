@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .dib_poset import build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
-from .extension_engine import extension_records
+from .extension_engine import iter_extension_records
 from .kekule_bijection import enumerate_kekule, generate_clar_covers, map_from_kekule
 from .order_polynomials import ClosedForm, ZzPolynomial, closed_form, zz_polynomial
 from .oracle import (
@@ -100,11 +100,16 @@ def _read_strip_text(args) -> str | None:
     if args.strip:
         return args.strip
     if getattr(args, "file", None):
-        with open(args.file) as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    return line
+        try:
+            with open(args.file) as handle:
+                for line in handle:
+                    line = line.strip()
+                    if line:
+                        return line
+        except OSError as exc:
+            raise StripParseError(f"cannot read {args.file}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise StripParseError(f"cannot read {args.file}: {exc.reason}") from None
         raise StripParseError(f"no strip description found in {args.file}")
     return None
 
@@ -241,7 +246,7 @@ def _word_str(word) -> str:
 def _run_extensions(config: RunConfig) -> int:
     poset = build_poset(config.spec)
     labeling = natural_labeling(poset)
-    for rec in extension_records(poset, labeling):
+    for rec in iter_extension_records(poset, labeling):
         if config.fmt == "json":
             print(json.dumps({
                 "word": list(rec.word),
@@ -270,18 +275,22 @@ def _zz_json(spec: StripSpec, zz: ZzPolynomial, cf: ClosedForm | None) -> str:
 
 
 def _run_zz(config: RunConfig) -> int:
+    # The DIB poset depends on the shapes and the interface orders, not
+    # on n, so one closed form serves every n of the request.
+    cf = None
     for n in config.n_values:
         spec = StripSpec(config.spec.shapes, n)
         report = validate(spec)
         if not report.is_valid:
             raise InvalidStripError("; ".join(report.problems))
-        zz = zz_polynomial(spec)
         if not report.is_kekulean:
             warning = next(p for p in report.problems if "Kekulean" in p)
             print(f"warning: {warning}", file=sys.stderr)
-            cf = None
+            zz = ZzPolynomial.zero()
         else:
-            cf = closed_form(spec)
+            if cf is None:
+                cf = closed_form(spec)
+            zz = cf.evaluate(n)
         if config.fmt == "json":
             print(_zz_json(spec, zz, cf))
         elif config.fmt == "latex":
@@ -298,14 +307,14 @@ def _run_closed_form(config: RunConfig) -> int:
                 "closed_form": json.loads(cf.to_json())}
         if not config.symbolic:
             data["n"] = config.spec.n
-            data["zz"] = {"coeffs": list(zz_polynomial(config.spec).coeffs)}
+            data["zz"] = {"coeffs": list(cf.evaluate(config.spec.n).coeffs)}
         print(json.dumps(data))
     elif config.fmt == "latex":
         print(cf.as_latex())
     else:
         print(cf.as_text())
         if not config.symbolic:
-            print(f"n={config.spec.n}: {zz_polynomial(config.spec)}")
+            print(f"n={config.spec.n}: {cf.evaluate(config.spec.n)}")
     return 0
 
 
@@ -424,12 +433,12 @@ def _run_catalog(config: RunConfig) -> int:
                     "closed_form": json.loads(cf.to_json())}
             if config.n_values:
                 data["n"] = spec.n
-                data["zz"] = {"coeffs": list(zz_polynomial(spec).coeffs)}
+                data["zz"] = {"coeffs": list(cf.evaluate(spec.n).coeffs)}
             print(json.dumps(data))
         else:
             line = f"{''.join(shapes)}  p={cf.p}  {cf.as_text()}"
             if config.n_values:
-                line += f"  |  n={spec.n}: {zz_polynomial(spec)}"
+                line += f"  |  n={spec.n}: {cf.evaluate(spec.n)}"
             print(line)
     return 0
 

@@ -9,7 +9,9 @@ poset (max over the empty forced set counting as 0).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .dib_poset import DibPoset, NaturalLabeling
 
@@ -31,52 +33,93 @@ class LinearExtensionRecord:
         return len(self.fixed)
 
 
-def linear_extensions(poset: DibPoset, labeling: NaturalLabeling) -> list[Word]:
-    """All extensions as label words, in lexicographic order.
+def _walk(poset: DibPoset, labeling: NaturalLabeling) -> Iterator[tuple[list[int], int, int]]:
+    """Walk the extensions in lexicographic order, one at a time.
 
-    Backtracks over the currently-minimal elements, always trying the
-    smallest available label first; the empty poset yields one empty
-    word.
+    Yields (word, des, fixed) per extension: the word of labels 1..p,
+    its descent count, and its fixed labels as a bitmask (bit l - 1 for
+    label l). The word is one buffer that the walk overwrites; copy it
+    to keep it. Internally label l is the integer l - 1, placed when
+    every lower cover is, with des and fixed carried along the prefix:
+    a descent fixes both of its labels, and a label after an ascent is
+    fixed when a larger label follows the last of its lower covers.
+    Memory stays O(p); the empty poset yields one empty word.
     """
     if labeling.poset is not poset and labeling.poset != poset:
         raise ValueError("labeling does not belong to this poset")
     p = poset.p
-    succs: dict[int, list[int]] = {lbl: [] for lbl in range(1, p + 1)}
-    pending = {lbl: 0 for lbl in range(1, p + 1)}
+    if p == 0:
+        yield [], 0, 0
+        return
+    index = {e: labeling.label_of(e) - 1 for e in poset.elements}
+    lower: list[list[int]] = [[] for _ in range(p)]
+    upper: list[list[int]] = [[] for _ in range(p)]
     for a, b in poset.covers:
-        succs[labeling.label_of(a)].append(labeling.label_of(b))
-        pending[labeling.label_of(b)] += 1
+        lower[index[b]].append(index[a])
+        upper[index[a]].append(index[b])
+    needs = [sum(1 << a for a in lower[x]) for x in range(p)]
 
-    words: list[Word] = []
-    word: list[int] = []
-    available = sorted(lbl for lbl in pending if pending[lbl] == 0)
+    word = [0] * p  # labels 1..p
+    pos = [0] * p  # 1-based position of each placed label
+    # per depth d: labels placed at positions 1..d, labels free to come
+    # next, candidates not yet tried there, des and fixed of the prefix
+    placed = [0] * (p + 1)
+    free = [0] * (p + 1)
+    todo = [0] * (p + 1)
+    des = [0] * (p + 1)
+    fixed = [0] * (p + 1)
+    free[0] = todo[0] = sum(1 << x for x in range(p) if not lower[x])
+    last = p - 1
+    d = 0
+    while d >= 0:
+        cand = todo[d]
+        if not cand:
+            d -= 1
+            continue
+        bit = cand & -cand
+        todo[d] = cand ^ bit
+        x = bit.bit_length() - 1
+        prefix = placed[d]
+        n_des = des[d]
+        n_fixed = fixed[d]
+        if d and word[d - 1] > x + 1:
+            n_des += 1
+            n_fixed |= bit | 1 << (word[d - 1] - 1)
+        else:
+            below_end = 0
+            for a in lower[x]:
+                if pos[a] > below_end:
+                    below_end = pos[a]
+            # labels placed after the last lower cover, larger than x
+            if (prefix ^ placed[below_end]) >> (x + 1):
+                n_fixed |= bit
+        word[d] = x + 1
+        pos[x] = d + 1
+        if d == last:
+            yield word, n_des, n_fixed
+            continue
+        prefix |= bit
+        nxt = free[d] ^ bit
+        for y in upper[x]:
+            if needs[y] & prefix == needs[y]:
+                nxt |= 1 << y
+        d += 1
+        placed[d] = prefix
+        free[d] = todo[d] = nxt
+        des[d] = n_des
+        fixed[d] = n_fixed
 
-    def extend() -> None:
-        if len(word) == p:
-            words.append(tuple(word))
-            return
-        for lbl in list(available):
-            available.remove(lbl)
-            word.append(lbl)
-            released = []
-            for nxt in succs[lbl]:
-                pending[nxt] -= 1
-                if pending[nxt] == 0:
-                    released.append(nxt)
-            for nxt in released:
-                available.append(nxt)
-            available.sort()
-            extend()
-            for nxt in released:
-                available.remove(nxt)
-            for nxt in succs[lbl]:
-                pending[nxt] += 1
-            word.pop()
-            available.append(lbl)
-            available.sort()
 
-    extend()
-    return words
+def linear_extensions(poset: DibPoset, labeling: NaturalLabeling) -> list[Word]:
+    """All extensions as label words, in lexicographic order; the empty
+    poset yields one empty word."""
+    return [tuple(word) for word, _, _ in _walk(poset, labeling)]
+
+
+def des_fix_counts(poset: DibPoset, labeling: NaturalLabeling) -> dict[tuple[int, int], int]:
+    """Number of extensions with each (des, fix) pair, tallied in one
+    walk without keeping any word."""
+    return Counter((des, fixed.bit_count()) for _, des, fixed in _walk(poset, labeling))
 
 
 def descent_stats(word: Word) -> tuple[frozenset[int], int]:
@@ -118,12 +161,17 @@ def fixed_labels(
     return frozenset(fixed), len(fixed)
 
 
+def iter_extension_records(
+    poset: DibPoset, labeling: NaturalLabeling
+) -> Iterator[LinearExtensionRecord]:
+    """The records of ``extension_records``, streamed one by one."""
+    for word, _, fixed in _walk(poset, labeling):
+        descents, _ = descent_stats(word)
+        labels = frozenset(l for l in range(1, len(word) + 1) if fixed >> (l - 1) & 1)
+        yield LinearExtensionRecord(tuple(word), descents, labels)
+
+
 def extension_records(
     poset: DibPoset, labeling: NaturalLabeling
 ) -> list[LinearExtensionRecord]:
-    records = []
-    for word in linear_extensions(poset, labeling):
-        descents, _ = descent_stats(word)
-        fixed, _ = fixed_labels(word, poset, labeling)
-        records.append(LinearExtensionRecord(word, descents, fixed))
-    return records
+    return list(iter_extension_records(poset, labeling))

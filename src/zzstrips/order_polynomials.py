@@ -25,7 +25,7 @@ from .dib_poset import (
     natural_labeling,
 )
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError
-from .extension_engine import descent_stats, extension_records, linear_extensions
+from .extension_engine import des_fix_counts
 from .strip_geometry import StripSpec, validate
 
 DEFAULT_SUBSET_GUARD = 20
@@ -134,12 +134,8 @@ def strict_order_poly(poset: DibPoset, n: int) -> int:
     """Number of strictly order-preserving maps into {1, .., n}."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    labeling = natural_labeling(poset)
-    total = 0
-    for word in linear_extensions(poset, labeling):
-        _, des = descent_stats(word)
-        total += binom(n + des, poset.p)
-    return total
+    counts = des_fix_counts(poset, natural_labeling(poset))
+    return sum(mult * binom(n + des, poset.p) for (des, _), mult in counts.items())
 
 
 def brute_force_strict_maps(
@@ -187,12 +183,18 @@ def extended_poly_subposet_sum(
 def extended_poly_extension_formula(
     poset: DibPoset, labeling: NaturalLabeling, n: int
 ) -> tuple[int, ...]:
-    """E(n, z) from the linear extensions of the full poset."""
-    p = poset.p
+    """E(n, z) from the linear extensions of the full poset, evaluated
+    once per (des, fix) group."""
+    counts = des_fix_counts(poset, labeling)
+    return _group_sum(poset.p, ((d, f, m) for (d, f), m in counts.items()), n)
+
+
+def _group_sum(p: int, groups: Iterable[tuple[int, int, int]], n: int) -> tuple[int, ...]:
+    # sum over groups of mult * C(p - fix, k - fix) * C(n + des, k) z^k
     coeffs = [0] * (p + 1)
-    for rec in extension_records(poset, labeling):
-        for k in range(p + 1):
-            coeffs[k] += binom(p - rec.fix, k - rec.fix) * binom(n + rec.des, k)
+    for des, fix, mult in groups:
+        for k in range(fix, p + 1):
+            coeffs[k] += mult * math.comb(p - fix, k - fix) * binom(n + des, k)
     return tuple(coeffs)
 
 
@@ -230,10 +232,7 @@ def zz_polynomial(spec: StripSpec) -> ZzPolynomial:
     report = _require_valid(spec)
     if not report.is_kekulean:
         return ZzPolynomial.zero()
-    poset = build_poset(spec)
-    labeling = natural_labeling(poset)
-    zcoeffs = extended_poly_extension_formula(poset, labeling, spec.n)
-    return _substitute_one_plus_x(zcoeffs)
+    return closed_form(spec).evaluate(spec.n)
 
 
 def a_coefficients(spec: StripSpec, max_p: int | None = None) -> tuple[int, ...]:
@@ -261,11 +260,7 @@ class ClosedForm:
         return sum(mult for _, _, mult in self.groups)
 
     def evaluate(self, n: int) -> ZzPolynomial:
-        zcoeffs = [0] * (self.p + 1)
-        for des, fix, mult in self.groups:
-            for k in range(self.p + 1):
-                zcoeffs[k] += mult * binom(self.p - fix, k - fix) * binom(n + des, k)
-        return _substitute_one_plus_x(tuple(zcoeffs))
+        return _substitute_one_plus_x(_group_sum(self.p, self.groups, n))
 
     def _term_pieces(self, des: int, fix: int, mult: int, latex: bool) -> str:
         def c(top: str, bottom: str) -> str:
@@ -314,10 +309,6 @@ def closed_form(spec: StripSpec) -> ClosedForm:
     """Group the linear extensions by (des, fix) into the symbolic form."""
     _require_kekulean(spec)
     poset = build_poset(spec)
-    labeling = natural_labeling(poset)
-    counts: dict[tuple[int, int], int] = {}
-    for rec in extension_records(poset, labeling):
-        key = (rec.des, rec.fix)
-        counts[key] = counts.get(key, 0) + 1
+    counts = des_fix_counts(poset, natural_labeling(poset))
     groups = tuple((d, f, counts[(d, f)]) for d, f in sorted(counts))
     return ClosedForm(poset.p, groups)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from zzstrips import DibPoset, StripSpec, ZzPolynomial, build_poset, closed_form
 from zzstrips.cli import catalog_shapes, main, mirror_orbit
 
@@ -51,6 +53,32 @@ class TestZzMode:
         code, _, err = run_cli(capsys, "zz", "--shapes", "RWN", "--length", "2")
         assert code == 2
         assert "first fragment" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    @pytest.mark.parametrize("shapes", ["WN", "WRN", "WWRNN", "WLRN", "WNWN", "WNNWWN"])
+    def test_n_range_matches_single_runs(self, capsys, shapes, fmt):
+        # WNNWWN is non-Kekulean, and valid only from n=3 on
+        code, out, err = run_cli(capsys, "zz", "--shapes", shapes, "--n-range", "3..7",
+                                 "--format", fmt)
+        assert code == 0
+        singles = []
+        for n in range(3, 8):
+            single = run_cli(capsys, "zz", "--shapes", shapes, "--length", str(n),
+                             "--format", fmt)
+            assert single[0] == 0
+            singles.append(single)
+        assert out == "".join(single_out for _, single_out, _ in singles)
+        assert err == "".join(single_err for _, _, single_err in singles)
+
+    def test_n_range_stops_at_invalid_n(self, capsys):
+        # WNWN has an empty second tier at n=1, the first n of the range
+        code, out, err = run_cli(capsys, "zz", "--shapes", "WNWN", "--n-range", "1..3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: tier 2 has no hexagons (|i_2| = 1)\n"
+        single_code, single_out, _ = run_cli(capsys, "zz", "--shapes", "WNWN",
+                                             "--length", "1")
+        assert (single_code, single_out) == (2, "")
 
     def test_parse_error_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "zz", "WXN 3")
@@ -218,6 +246,22 @@ class TestUsage:
     def test_conflicting_sources_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "zz", "WRN 2", "--shapes", "WRN", "--length", "2")
         assert code == 2
+
+    def test_unreadable_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-strip.txt"
+        code, out, err = run_cli(capsys, "zz", "--file", str(missing))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read ")
+        code, _, err = run_cli(capsys, "zz", "--file", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: cannot read ")
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"\xff\xfe\x00WRN 2")
+        code, _, err = run_cli(capsys, "zz", "--file", str(binary))
+        # a parse error instead where the locale encoding accepts the bytes
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_unknown_mode_exits_2(self, capsys):
         assert main(["no-such-mode"]) == 2

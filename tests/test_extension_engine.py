@@ -16,6 +16,7 @@ from zzstrips import (
     linear_extensions,
     natural_labeling,
 )
+from zzstrips.extension_engine import des_fix_counts, iter_extension_records
 
 from conftest import antichain_poset, chain_poset, fence_poset, random_natural_labeling
 
@@ -145,3 +146,43 @@ def test_fence_extension_count():
     for p, count in expected.items():
         fence = fence_poset(p)
         assert len(linear_extensions(fence, natural_labeling(fence))) == count
+
+
+class TestStreamingWalk:
+    """The walk carries des and fix along each prefix; these checks hold
+    it to the per-word definitions in descent_stats and fixed_labels."""
+
+    @staticmethod
+    def per_word_counts(poset, lab):
+        counts = {}
+        for word in linear_extensions(poset, lab):
+            _, des = descent_stats(word)
+            _, fix = fixed_labels(word, poset, lab)
+            counts[(des, fix)] = counts.get((des, fix), 0) + 1
+        return counts
+
+    def test_des_fix_counts_match_per_word_on_strips(self, small_catalog):
+        rng = random.Random(3)
+        for spec in small_catalog:
+            poset = build_poset(spec)
+            labelings = [natural_labeling(poset)]
+            labelings += [random_natural_labeling(poset, rng) for _ in range(3)]
+            for lab in labelings:
+                assert des_fix_counts(poset, lab) == self.per_word_counts(poset, lab)
+
+    @pytest.mark.parametrize("p", range(0, 7))
+    def test_des_fix_counts_match_per_word_on_synthetic_posets(self, p):
+        for poset in (chain_poset(p), antichain_poset(p), fence_poset(p)):
+            lab = natural_labeling(poset)
+            assert des_fix_counts(poset, lab) == self.per_word_counts(poset, lab)
+
+    def test_streamed_records_equal_list(self, small_catalog):
+        for spec in small_catalog:
+            poset = build_poset(spec)
+            lab = natural_labeling(poset)
+            assert list(iter_extension_records(poset, lab)) == extension_records(poset, lab)
+
+    def test_foreign_labeling_rejected(self):
+        other = build_poset(StripSpec(tuple("WRN"), 2))
+        with pytest.raises(ValueError):
+            des_fix_counts(FLAKE_POSET, natural_labeling(other))

@@ -195,6 +195,10 @@ class TestZzPolynomialOfStrip:
         with pytest.raises(InvalidStripError):
             zz_polynomial(StripSpec(tuple("RWN"), 2))
 
+    def test_equals_closed_form_evaluation(self, catalog):
+        for spec in catalog:
+            assert zz_polynomial(spec) == closed_form(spec).evaluate(spec.n)
+
 
 class TestACoefficients:
     def test_parallelogram(self):
