@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from .dib_poset import build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
 from .extension_engine import iter_extension_records
-from .kekule_bijection import enumerate_kekule, generate_clar_covers, map_from_kekule
+from .kekule_bijection import enumerate_kekule, generate_clar_covers
 from .order_polynomials import ClosedForm, ZzPolynomial, closed_form, zz_polynomial
 from .oracle import (
-    enumerate_clar_covers,
     enumerate_perfect_matchings,
+    iter_clar_covers,
     zz_from_covers,
     zz_from_matchings,
 )
@@ -318,15 +318,12 @@ def _run_closed_form(config: RunConfig) -> int:
     return 0
 
 
-def _structure_json(om, ka, aromatic=None) -> str:
-    data = {
+def _structure_json(om, ka) -> str:
+    return json.dumps({
         "A": [_dib_json(d) for d in om.elements],
         "mu": list(om.values),
         "pos": [[e.k, p] for e, p in zip(ka.elements, ka.positions)],
-    }
-    if aromatic is not None:
-        data["aromatic"] = [_dib_json(d) for d in aromatic]
-    return json.dumps(data)
+    })
 
 
 def _run_kekule(config: RunConfig) -> int:
@@ -336,10 +333,17 @@ def _run_kekule(config: RunConfig) -> int:
 
 
 def _run_clar(config: RunConfig) -> int:
-    poset = build_poset(config.spec)
+    # The records of one Kekule structure arrive together and share its
+    # (A, mu), so that part of the line is encoded once per structure.
+    # Each line equals json.dumps of the four-key dict with "aromatic"
+    # last, whose list of {"k", "j"} dicts is written out directly.
+    om = prefix = None
     for record in generate_clar_covers(config.spec):
-        om = map_from_kekule(config.spec, record.base, poset=poset)
-        print(_structure_json(om, record.base, aromatic=record.aromatic))
+        if record.order_map is not om:
+            om = record.order_map
+            prefix = _structure_json(om, record.base)[:-1] + ', "aromatic": ['
+        aromatic = ", ".join([f'{{"k": {d.k}, "j": {d.j}}}' for d in record.aromatic])
+        print(prefix + aromatic + "]}")
     return 0
 
 
@@ -350,7 +354,7 @@ def _run_oracle(config: RunConfig) -> int:
         raise InvalidStripError("; ".join(report.problems))
     graph = build_graph(spec)
     matchings = enumerate_perfect_matchings(graph, max_vertices=config.max_vertices)
-    covers = enumerate_clar_covers(graph, max_vertices=config.max_vertices)
+    covers = iter_clar_covers(graph, max_vertices=config.max_vertices)
     zz_poset = zz_polynomial(spec)
     zz_covers = zz_from_covers(covers)
     zz_sextets = zz_from_matchings(graph, matchings)

@@ -65,10 +65,11 @@ class KekuleAssignment:
 @dataclass(frozen=True)
 class ClarCoverRecord:
     """A Kekule structure with a chosen subset of its proper sextets
-    promoted to aromatic rings."""
+    promoted to aromatic rings; order_map is the structure's (A, mu)."""
 
     base: KekuleAssignment
     aromatic: tuple[Dib, ...]
+    order_map: OrderMap
 
     @property
     def order(self) -> int:
@@ -145,36 +146,32 @@ def map_from_kekule(
     return OrderMap(tuple(selected), tuple(offsets[e] for e in selected))
 
 
-def _strict_maps(poset: DibPoset, members: tuple[Dib, ...], n: int) -> Iterator[tuple[int, ...]]:
-    """Strictly order-preserving value tuples on members (canonical
-    order), yielded in lexicographic order."""
-    size = len(members)
-    relations = [
-        (i, jdx)
-        for i, a in enumerate(members)
-        for jdx, b in enumerate(members)
-        if poset.less(a, b)
-    ]
+def _strict_values(
+    lower: list[list[int]], upper: list[list[int]], n: int
+) -> Iterator[tuple[int, ...]]:
+    """Strictly order-preserving value tuples into [n], in lexicographic
+    order. lower[t] and upper[t] list the earlier positions whose member
+    is below, respectively above, the member at position t; each value
+    runs from one more than its placed lower neighbours to one less than
+    its placed upper neighbours."""
+    size = len(lower)
+    if size == 0:
+        yield ()
+        return
     values = [0] * size
-
-    def assign(idx: int) -> Iterator[tuple[int, ...]]:
-        if idx == size:
+    highs = [n] * size
+    t = 0
+    while t >= 0:
+        values[t] += 1
+        if values[t] > highs[t]:
+            t -= 1
+            continue
+        if t == size - 1:
             yield tuple(values)
-            return
-        for v in range(1, n + 1):
-            values[idx] = v
-            ok = True
-            for i, jdx in relations:
-                if i < idx and jdx == idx and values[i] >= v:
-                    ok = False
-                    break
-                if jdx < idx and i == idx and v >= values[jdx]:
-                    ok = False
-                    break
-            if ok:
-                yield from assign(idx + 1)
-
-    yield from assign(0)
+            continue
+        t += 1
+        values[t] = max((values[s] for s in lower[t]), default=0)
+        highs[t] = min((values[s] for s in upper[t]), default=n + 1) - 1
 
 
 def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignment]]:
@@ -186,11 +183,26 @@ def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignme
     """
     poset = build_poset(spec)
     elements = poset.elements
-    for mask in range(1 << poset.p):
-        members = tuple(elements[i] for i in range(poset.p) if mask >> i & 1)
-        for values in _strict_maps(poset, members, spec.n):
-            om = OrderMap(members, values)
-            yield om, _assignment_from_map(poset, om)
+    p = poset.p
+    index = {e: i for i, e in enumerate(elements)}
+    below = [[index[b] for b in poset.below(e)] for e in elements]
+    below_mask = [sum(1 << b for b in lows) for lows in below]
+    # every DIB spreads to the largest value at or below it (0 if none)
+    spread_from = [[i] + lows for i, lows in enumerate(below)]
+    offsets = [e.j for e in elements]
+    for mask in range(1 << p):
+        idx = [i for i in range(p) if mask >> i & 1]
+        members = tuple(elements[i] for i in idx)
+        lower = [[s for s in range(t) if below_mask[i] >> idx[s] & 1] for t, i in enumerate(idx)]
+        upper = [[s for s in range(t) if below_mask[idx[s]] >> i & 1] for t, i in enumerate(idx)]
+        chosen = [0] * p
+        for values in _strict_values(lower, upper, spec.n):
+            for i, v in zip(idx, values):
+                chosen[i] = v
+            positions = tuple(
+                max([chosen[b] for b in spread_from[i]]) + offsets[i] for i in range(p)
+            )
+            yield OrderMap(members, values), KekuleAssignment(elements, positions)
 
 
 def generate_clar_covers(spec: StripSpec) -> Iterator[ClarCoverRecord]:
@@ -200,4 +212,4 @@ def generate_clar_covers(spec: StripSpec) -> Iterator[ClarCoverRecord]:
             aromatic = tuple(
                 om.elements[i] for i in range(om.size) if mask >> i & 1
             )
-            yield ClarCoverRecord(ka, aromatic)
+            yield ClarCoverRecord(ka, aromatic, om)

@@ -14,6 +14,7 @@ count of each matching must equal the size of its domain A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .dib_poset import Dib
 from .errors import GuardExceeded
@@ -56,29 +57,34 @@ def enumerate_perfect_matchings(
 
 
 def _matchings_avoiding(graph: BenzenoidGraph, removed: frozenset[int]) -> list[Matching]:
-    order = [v for v in range(graph.num_vertices) if v not in removed]
-    covered = set(removed)
+    # Vertices below the branching vertex are all covered, and covering
+    # only grows along a branch, so each step scans on from there.
+    size = graph.num_vertices
+    adjacency = graph.adjacency
+    covered = [False] * size
+    for v in removed:
+        covered[v] = True
     chosen: list[Edge] = []
     out: list[Matching] = []
 
-    def branch() -> None:
-        v = next((u for u in order if u not in covered), None)
-        if v is None:
+    def branch(v: int) -> None:
+        while v < size and covered[v]:
+            v += 1
+        if v == size:
             out.append(frozenset(chosen))
             return
-        for u in graph.adjacency[v]:
-            if u in covered:
+        covered[v] = True
+        for u in adjacency[v]:
+            if covered[u]:
                 continue
-            edge = (v, u) if v < u else (u, v)
-            covered.add(v)
-            covered.add(u)
-            chosen.append(edge)
-            branch()
+            covered[u] = True
+            chosen.append((v, u) if v < u else (u, v))
+            branch(v + 1)
             chosen.pop()
-            covered.remove(v)
-            covered.remove(u)
+            covered[u] = False
+        covered[v] = False
 
-    branch()
+    branch(0)
     return out
 
 
@@ -119,43 +125,47 @@ def _hexagon_conflicts(graph: BenzenoidGraph) -> list[set[int]]:
     return conflicts
 
 
+def iter_clar_covers(
+    graph: BenzenoidGraph, max_vertices: int | None = None
+) -> Iterator[ExplicitClarCover]:
+    """The covers of ``enumerate_clar_covers``, streamed in the same
+    order. The guard is checked at the call, before the first cover."""
+    _check_guard(graph, max_vertices)
+    conflicts = _hexagon_conflicts(graph)
+    count = len(graph.hexagons)
+    chosen: list[int] = []
+
+    def pick(start: int, blocked: set[int]) -> Iterator[ExplicitClarCover]:
+        removed = frozenset(v for i in chosen for v in graph.hexagons[i].vertices)
+        hexagons = tuple(chosen)
+        for matching in _matchings_avoiding(graph, removed):
+            yield ExplicitClarCover(hexagons, matching)
+        for i in range(start, count):
+            if i in blocked:
+                continue
+            chosen.append(i)
+            yield from pick(i + 1, blocked | conflicts[i])
+            chosen.pop()
+
+    return pick(0, set())
+
+
 def enumerate_clar_covers(
     graph: BenzenoidGraph, max_vertices: int | None = None
 ) -> list[ExplicitClarCover]:
     """Every Clar cover: each vertex-disjoint hexagon set, completed by
     every perfect matching of what remains."""
-    _check_guard(graph, max_vertices)
-    conflicts = _hexagon_conflicts(graph)
-    count = len(graph.hexagons)
-    covers: list[ExplicitClarCover] = []
-    chosen: list[int] = []
-
-    def complete() -> None:
-        removed = frozenset(v for i in chosen for v in graph.hexagons[i].vertices)
-        for matching in _matchings_avoiding(graph, removed):
-            covers.append(ExplicitClarCover(tuple(chosen), matching))
-
-    def pick(start: int, blocked: set[int]) -> None:
-        complete()
-        for i in range(start, count):
-            if i in blocked:
-                continue
-            chosen.append(i)
-            pick(i + 1, blocked | conflicts[i])
-            chosen.pop()
-
-    pick(0, set())
-    return covers
+    return list(iter_clar_covers(graph, max_vertices))
 
 
-def zz_from_covers(covers: list[ExplicitClarCover]) -> ZzPolynomial:
-    """Cover-order histogram read off directly."""
-    if not covers:
-        return ZzPolynomial.zero()
-    top = max(c.order for c in covers)
-    counts = [0] * (top + 1)
+def zz_from_covers(covers: Iterable[ExplicitClarCover]) -> ZzPolynomial:
+    """Cover-order histogram read off directly, in one pass."""
+    counts: list[int] = []
     for cover in covers:
-        counts[cover.order] += 1
+        k = cover.order
+        if k >= len(counts):
+            counts.extend([0] * (k + 1 - len(counts)))
+        counts[k] += 1
     return ZzPolynomial.from_coeffs(counts)
 
 

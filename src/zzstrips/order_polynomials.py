@@ -24,7 +24,7 @@ from .dib_poset import (
     induced_subposets,
     natural_labeling,
 )
-from .errors import GuardExceeded, InvalidStripError, NonKekuleanError
+from .errors import GuardExceeded, InvalidStripError
 from .extension_engine import des_fix_counts
 from .strip_geometry import StripSpec, validate
 
@@ -42,7 +42,13 @@ def binom(n: int, k: int) -> int:
 
 
 def subset_guard() -> int:
-    return int(os.environ.get(SUBSET_GUARD_ENV, DEFAULT_SUBSET_GUARD))
+    raw = os.environ.get(SUBSET_GUARD_ENV)
+    if raw is None:
+        return DEFAULT_SUBSET_GUARD
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{SUBSET_GUARD_ENV}={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -216,13 +222,6 @@ def _require_valid(spec: StripSpec):
     return report
 
 
-def _require_kekulean(spec: StripSpec):
-    report = _require_valid(spec)
-    if not report.is_kekulean:
-        raise NonKekuleanError("; ".join(p for p in report.problems if "Kekulean" in p))
-    return report
-
-
 def zz_polynomial(spec: StripSpec) -> ZzPolynomial:
     """Zhang-Zhang polynomial of the strip, via the DIB poset.
 
@@ -238,7 +237,6 @@ def zz_polynomial(spec: StripSpec) -> ZzPolynomial:
 def a_coefficients(spec: StripSpec, max_p: int | None = None) -> tuple[int, ...]:
     """a(k) = number of Kekule structures with exactly k proper sextets,
     computed as the subposet sums of strict order polynomials."""
-    _require_kekulean(spec)
     poset = build_poset(spec)
     return extended_poly_subposet_sum(poset, spec.n, max_p=max_p)
 
@@ -307,7 +305,6 @@ class ClosedForm:
 
 def closed_form(spec: StripSpec) -> ClosedForm:
     """Group the linear extensions by (des, fix) into the symbolic form."""
-    _require_kekulean(spec)
     poset = build_poset(spec)
     counts = des_fix_counts(poset, natural_labeling(poset))
     groups = tuple((d, f, counts[(d, f)]) for d, f in sorted(counts))

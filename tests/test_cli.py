@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from zzstrips import DibPoset, StripSpec, ZzPolynomial, build_poset, closed_form
+from zzstrips import (
+    DibPoset,
+    StripSpec,
+    ZzPolynomial,
+    build_poset,
+    closed_form,
+    generate_clar_covers,
+    map_from_kekule,
+    parse_strip,
+)
 from zzstrips.cli import catalog_shapes, main, mirror_orbit
 
 
@@ -175,6 +184,24 @@ class TestEnumerationModes:
         assert len(rows) == 13
         orders = sorted(len(r["aromatic"]) for r in rows)
         assert orders == [0] * 6 + [1] * 6 + [2]
+
+
+class TestClarLineEncoding:
+    @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2"])
+    def test_lines_equal_json_dumps(self, capsys, text):
+        spec = parse_strip(text)
+        expected = []
+        for rec in generate_clar_covers(spec):
+            om = map_from_kekule(spec, rec.base)
+            expected.append(json.dumps({
+                "A": [{"k": d.k, "j": d.j} for d in om.elements],
+                "mu": list(om.values),
+                "pos": [[e.k, p] for e, p in zip(rec.base.elements, rec.base.positions)],
+                "aromatic": [{"k": d.k, "j": d.j} for d in rec.aromatic],
+            }))
+        code, out, _ = run_cli(capsys, "clar", text)
+        assert code == 0
+        assert out.splitlines() == expected
 
 
 class TestOracleMode:

@@ -5,6 +5,7 @@ from zzstrips import (
     OrderMap,
     StripSpec,
     binom,
+    brute_force_strict_maps,
     build_graph,
     build_poset,
     enumerate_kekule,
@@ -232,3 +233,47 @@ class TestClarCovers:
             for members, word in per_pair:
                 sub = poset.subposet(members)
                 assert word in linear_extensions(sub, natural_labeling(sub))
+
+
+class TestEnumerationOrder:
+    def test_parallelogram_order_pinned(self):
+        s11, s21 = Dib(1, 1), Dib(2, 1)
+        pairs = [(om.elements, om.values) for om, _ in enumerate_kekule(PARA)]
+        assert pairs == [
+            ((), ()),
+            ((s11,), (1,)),
+            ((s11,), (2,)),
+            ((s21,), (1,)),
+            ((s21,), (2,)),
+            ((s11, s21), (1, 2)),
+        ]
+
+    def test_masks_ascend_and_values_follow_brute_force(self, small_catalog):
+        # within each subset A (ascending bitmask over the canonical DIB
+        # order) the maps come in the lexicographic order of the
+        # independent brute-force enumeration over the induced subposet
+        for spec in small_catalog:
+            poset = build_poset(spec)
+            elements = poset.elements
+            expected = []
+            for mask in range(1 << poset.p):
+                members = tuple(elements[i] for i in range(poset.p) if mask >> i & 1)
+                sub = poset.subposet(members)
+                for m in brute_force_strict_maps(sub, spec.n):
+                    expected.append((members, tuple(m[e] for e in members)))
+            got = [(om.elements, om.values) for om, _ in enumerate_kekule(spec)]
+            assert got == expected, spec
+
+    def test_assignment_is_spread_of_map(self, small_catalog):
+        for spec in small_catalog:
+            poset = build_poset(spec)
+            for om, ka in enumerate_kekule(spec):
+                assert ka == kekule_from_map(spec, om, poset=poset)
+
+
+class TestClarRecordOrderMap:
+    def test_order_map_equals_reverse_map(self, small_catalog):
+        for spec in small_catalog:
+            poset = build_poset(spec)
+            for rec in generate_clar_covers(spec):
+                assert rec.order_map == map_from_kekule(spec, rec.base, poset=poset)

@@ -10,6 +10,7 @@ from zzstrips import (
     enumerate_kekule,
     enumerate_perfect_matchings,
     extract_ki,
+    iter_clar_covers,
     map_from_kekule,
     zz_from_covers,
     zz_from_matchings,
@@ -187,3 +188,44 @@ class TestSecondRule:
                     assert doubles[-1][1] == bonds[-1][1]
                     for (_, s1), (_, s2) in zip(doubles, doubles[1:]):
                         assert s1 != s2
+
+
+def _reference_matchings(graph):
+    # branch on the lowest uncovered vertex, neighbours in adjacency order
+    found = []
+
+    def branch(covered, chosen):
+        free = [v for v in range(graph.num_vertices) if v not in covered]
+        if not free:
+            found.append(frozenset(chosen))
+            return
+        v = free[0]
+        for u in graph.adjacency[v]:
+            if u not in covered:
+                branch(covered | {v, u}, chosen + [(min(u, v), max(u, v))])
+
+    branch(frozenset(), [])
+    return found
+
+
+class TestStreamingOracle:
+    def test_matchings_follow_reference_order(self, small_catalog):
+        for spec in small_catalog:
+            graph = build_graph(spec)
+            assert enumerate_perfect_matchings(graph) == _reference_matchings(graph)
+
+    def test_stream_equals_list(self, small_catalog):
+        for spec in small_catalog:
+            graph = build_graph(spec)
+            assert list(iter_clar_covers(graph)) == enumerate_clar_covers(graph)
+
+    def test_zz_from_generator_equals_list(self, small_catalog):
+        for spec in small_catalog:
+            graph = build_graph(spec)
+            covers = enumerate_clar_covers(graph)
+            assert zz_from_covers(c for c in covers) == zz_from_covers(covers)
+        assert zz_from_covers(iter(())).is_zero
+
+    def test_stream_guard_raises_at_call(self):
+        with pytest.raises(GuardExceeded):
+            iter_clar_covers(build_graph(PARA), max_vertices=5)

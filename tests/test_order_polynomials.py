@@ -179,6 +179,11 @@ class TestExtendedPolynomials:
         monkeypatch.delenv("ZZ_GUARD_P")
         assert extended_poly_subposet_sum(chain_poset(4), 2)[0] == 1
 
+    def test_subset_guard_rejects_non_integer(self, monkeypatch):
+        monkeypatch.setenv("ZZ_GUARD_P", "abc")
+        with pytest.raises(ValueError, match=r"ZZ_GUARD_P='abc'"):
+            extended_poly_subposet_sum(chain_poset(2), 2)
+
 
 class TestZzPolynomialOfStrip:
     def test_parallelogram_2_2(self):
