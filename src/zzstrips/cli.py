@@ -349,9 +349,6 @@ def _run_clar(config: RunConfig) -> int:
 
 def _run_oracle(config: RunConfig) -> int:
     spec = config.spec
-    report = validate(spec)
-    if not report.is_valid:
-        raise InvalidStripError("; ".join(report.problems))
     graph = build_graph(spec)
     matchings = enumerate_perfect_matchings(graph, max_vertices=config.max_vertices)
     covers = iter_clar_covers(graph, max_vertices=config.max_vertices)

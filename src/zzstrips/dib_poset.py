@@ -100,9 +100,6 @@ class DibPoset:
         """All elements strictly below b."""
         return self._below[b]
 
-    def minimal_elements(self) -> tuple[Dib, ...]:
-        return tuple(e for e in self.elements if not self._below[e])
-
     def subposet(self, members: Iterable[Dib]) -> "DibPoset":
         """Induced subposet: inherited order, covers recomputed."""
         kept = sorted(set(members))
@@ -123,9 +120,6 @@ class DibPoset:
         if not isinstance(other, DibPoset):
             return NotImplemented
         return self.elements == other.elements and self._below == other._below
-
-    def __hash__(self) -> int:
-        return hash((self.elements, tuple(sorted((e, tuple(sorted(v))) for e, v in self._below.items()))))
 
     def __repr__(self) -> str:
         return f"DibPoset(p={self.p}, covers={len(self.covers)})"

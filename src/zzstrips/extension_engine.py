@@ -5,11 +5,15 @@ is a descent when w_i > w_{i+1}. A label is fixed when it is adjacent to
 a descent, or when the largest position of a preceding larger label
 beats the largest position of a label that is forced below it in the
 poset (max over the empty forced set counting as 0).
+
+The (des, fix) tally that the closed form needs comes from a DP over
+the order ideals of the poset (Stanley, *EC1* 3.5: the extensions are
+the maximal chains of that lattice), not from the walk, which is kept
+for listing the extensions themselves.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,6 +37,21 @@ class LinearExtensionRecord:
         return len(self.fixed)
 
 
+def _cover_lists(
+    poset: DibPoset, labeling: NaturalLabeling
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Lower and upper covers of each element, indexed by label - 1."""
+    if labeling.poset is not poset and labeling.poset != poset:
+        raise ValueError("labeling does not belong to this poset")
+    index = {e: labeling.label_of(e) - 1 for e in poset.elements}
+    lower: list[list[int]] = [[] for _ in range(poset.p)]
+    upper: list[list[int]] = [[] for _ in range(poset.p)]
+    for a, b in poset.covers:
+        lower[index[b]].append(index[a])
+        upper[index[a]].append(index[b])
+    return lower, upper
+
+
 def _walk(poset: DibPoset, labeling: NaturalLabeling) -> Iterator[tuple[list[int], int, int]]:
     """Walk the extensions in lexicographic order, one at a time.
 
@@ -45,18 +64,11 @@ def _walk(poset: DibPoset, labeling: NaturalLabeling) -> Iterator[tuple[list[int
     fixed when a larger label follows the last of its lower covers.
     Memory stays O(p); the empty poset yields one empty word.
     """
-    if labeling.poset is not poset and labeling.poset != poset:
-        raise ValueError("labeling does not belong to this poset")
+    lower, upper = _cover_lists(poset, labeling)
     p = poset.p
     if p == 0:
         yield [], 0, 0
         return
-    index = {e: labeling.label_of(e) - 1 for e in poset.elements}
-    lower: list[list[int]] = [[] for _ in range(p)]
-    upper: list[list[int]] = [[] for _ in range(p)]
-    for a, b in poset.covers:
-        lower[index[b]].append(index[a])
-        upper[index[a]].append(index[b])
     needs = [sum(1 << a for a in lower[x]) for x in range(p)]
 
     word = [0] * p  # labels 1..p
@@ -117,9 +129,58 @@ def linear_extensions(poset: DibPoset, labeling: NaturalLabeling) -> list[Word]:
 
 
 def des_fix_counts(poset: DibPoset, labeling: NaturalLabeling) -> dict[tuple[int, int], int]:
-    """Number of extensions with each (des, fix) pair, tallied in one
-    walk without keeping any word."""
-    return Counter((des, fixed.bit_count()) for _, des, fixed in _walk(poset, labeling))
+    """Number of extensions with each (des, fix) pair, without visiting
+    the extensions one by one.
+
+    A DP over prefixes, one layer per position. Prefixes that agree on
+    their state place their remaining labels alike, so they merge and
+    keep a count per (des, fix-so-far). Labels are indices label - 1.
+    The state is:
+      - the placed set and the free set (labels whose lower covers are
+        all placed);
+      - the last label, and whether a label larger than it was placed
+        after its last lower cover;
+      - that flag for each free label, as a bitmask.
+    Placing y after `last` is a descent iff last > y. That settles
+    `last`: it is fixed iff the step is a descent or its flag is set.
+    y sets the flag of every other free label smaller than it; labels
+    that y frees start with a clear flag. A descent into y needs no
+    case of its own: under a natural labeling `last` is not below y, so
+    it set y's flag when it was placed. The last label is settled by
+    its flag alone. Merged states never outnumber the walk's prefixes.
+    """
+    lower, upper = _cover_lists(poset, labeling)
+    needs = [sum(1 << a for a in below) for below in lower]
+    minimal = sum(1 << x for x in range(poset.p) if not needs[x])
+    # last = -1 stands for the empty prefix: every label ascends from it
+    layer = {(0, minimal, -1, 0, 0): {(0, 0): 1}}
+    for _ in range(poset.p):
+        nxt: dict[tuple[int, int, int, int, int], dict[tuple[int, int], int]] = {}
+        for (placed, free, last, last_flag, flags), counts in layer.items():
+            todo = free
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                y = bit.bit_length() - 1
+                step_des = last > y
+                step_fix = step_des or last_flag
+                now_placed = placed | bit
+                now_free = free ^ bit
+                for z in upper[y]:
+                    if needs[z] & now_placed == needs[z]:
+                        now_free |= 1 << z
+                now_flags = (flags | free & (bit - 1)) & ~bit
+                into = nxt.setdefault((now_placed, now_free, y, flags >> y & 1, now_flags), {})
+                for (des, fix), mult in counts.items():
+                    key = (des + step_des, fix + step_fix)
+                    into[key] = into.get(key, 0) + mult
+        layer = nxt
+    out: dict[tuple[int, int], int] = {}
+    for (_, _, _, last_flag, _), counts in layer.items():
+        for (des, fix), mult in counts.items():
+            key = (des, fix + last_flag)
+            out[key] = out.get(key, 0) + mult
+    return out
 
 
 def descent_stats(word: Word) -> tuple[frozenset[int], int]:

@@ -24,9 +24,9 @@ from .dib_poset import (
     induced_subposets,
     natural_labeling,
 )
-from .errors import GuardExceeded, InvalidStripError
+from .errors import GuardExceeded, NonKekuleanError
 from .extension_engine import des_fix_counts
-from .strip_geometry import StripSpec, validate
+from .strip_geometry import StripSpec
 
 DEFAULT_SUBSET_GUARD = 20
 DEFAULT_MAP_GUARD = 4_000_000
@@ -215,23 +215,18 @@ def _substitute_one_plus_x(zcoeffs: tuple[int, ...]) -> ZzPolynomial:
     return ZzPolynomial.from_coeffs(out)
 
 
-def _require_valid(spec: StripSpec):
-    report = validate(spec)
-    if not report.is_valid:
-        raise InvalidStripError("; ".join(report.problems))
-    return report
-
-
 def zz_polynomial(spec: StripSpec) -> ZzPolynomial:
     """Zhang-Zhang polynomial of the strip, via the DIB poset.
 
     Non-Kekulean strips have no Kekule structure at all, hence the zero
-    polynomial.
+    polynomial. An invalid strip raises InvalidStripError from
+    build_poset.
     """
-    report = _require_valid(spec)
-    if not report.is_kekulean:
+    try:
+        form = closed_form(spec)
+    except NonKekuleanError:
         return ZzPolynomial.zero()
-    return closed_form(spec).evaluate(spec.n)
+    return form.evaluate(spec.n)
 
 
 def a_coefficients(spec: StripSpec, max_p: int | None = None) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,18 +8,27 @@ from hypothesis import strategies as st
 
 from zzstrips import (
     Dib,
+    DibPoset,
     NaturalLabeling,
     StripSpec,
     build_poset,
+    closed_form,
     descent_stats,
     extension_records,
     fixed_labels,
     linear_extensions,
     natural_labeling,
+    parse_strip,
 )
-from zzstrips.extension_engine import des_fix_counts, iter_extension_records
+from zzstrips.extension_engine import _walk, des_fix_counts, iter_extension_records
 
-from conftest import antichain_poset, chain_poset, fence_poset, random_natural_labeling
+from conftest import (
+    all_strips,
+    antichain_poset,
+    chain_poset,
+    fence_poset,
+    random_natural_labeling,
+)
 
 
 FLAKE_POSET = build_poset(StripSpec(tuple("WWRNN"), 3))
@@ -186,3 +196,67 @@ class TestStreamingWalk:
         other = build_poset(StripSpec(tuple("WRN"), 2))
         with pytest.raises(ValueError):
             des_fix_counts(FLAKE_POSET, natural_labeling(other))
+
+
+def walk_tally(poset, lab):
+    """(des, fix) tally of the extension walk, one word at a time: the
+    reference that the order-ideal DP in des_fix_counts must equal."""
+    return Counter((des, fixed.bit_count()) for _, des, fixed in _walk(poset, lab))
+
+
+@st.composite
+def posets_with_implied_covers(draw):
+    """Random posets on p <= 8 elements. Whenever the order has a chain
+    of three, the cover list also carries some relation it implies."""
+    p = draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    relation = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    closure = set(relation)
+    for k in range(p):
+        for i in range(p):
+            for j in range(p):
+                if (i, k) in closure and (k, j) in closure:
+                    closure.add((i, j))
+    implied = sorted(closure - relation)
+    if implied:
+        relation |= draw(st.sets(st.sampled_from(implied), min_size=1))
+    elements = [Dib(i + 1, 1) for i in range(p)]
+    return DibPoset(elements, [(elements[i], elements[j]) for i, j in sorted(relation)])
+
+
+class TestOrderIdealDp:
+    """des_fix_counts merges prefixes by state instead of walking every
+    extension; it must give exactly the walk's tally."""
+
+    def test_equals_walk_on_catalog(self):
+        # every family with m <= 6 (340 of them, all with p <= 12); the
+        # poset depends on the shapes only, so one n per family
+        rng = random.Random(11)
+        shapes = {spec.shapes: spec for spec in all_strips(6, (1, 2, 3))}
+        assert len(shapes) >= 300
+        for spec in shapes.values():
+            poset = build_poset(spec)
+            assert poset.p <= 15
+            labelings = [natural_labeling(poset)]
+            labelings += [random_natural_labeling(poset, rng) for _ in range(2)]
+            for lab in labelings:
+                assert des_fix_counts(poset, lab) == walk_tally(poset, lab), spec
+
+    @settings(max_examples=120, deadline=None)
+    @given(posets_with_implied_covers(), st.randoms(use_true_random=False))
+    def test_equals_walk_on_random_posets(self, poset, rnd):
+        for lab in (natural_labeling(poset), random_natural_labeling(poset, rnd)):
+            assert des_fix_counts(poset, lab) == walk_tally(poset, lab)
+
+    def test_flake_p20_extension_count(self):
+        # 1,662,804 extensions, which the walk needs seconds to visit
+        form = closed_form(parse_strip("WWWWRNNNN 3"))
+        assert form.p == 20
+        assert form.extension_count == 1_662_804
+
+    def test_p18_groups_equal_walk(self):
+        spec = parse_strip("WWWRRRNNN 3")
+        poset = build_poset(spec)
+        tally = walk_tally(poset, natural_labeling(poset))
+        assert sum(tally.values()) == 87_516
+        assert closed_form(spec).groups == tuple((d, f, tally[(d, f)]) for d, f in sorted(tally))
