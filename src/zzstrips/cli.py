@@ -11,6 +11,7 @@ failure, 3 guard violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -19,13 +20,8 @@ from .dib_poset import build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
 from .extension_engine import iter_extension_records
 from .kekule_bijection import enumerate_kekule, generate_clar_covers
-from .order_polynomials import ClosedForm, ZzPolynomial, closed_form, zz_polynomial
-from .oracle import (
-    enumerate_perfect_matchings,
-    iter_clar_covers,
-    zz_from_covers,
-    zz_from_matchings,
-)
+from .order_polynomials import ZzPolynomial, closed_form, zz_polynomial
+from .oracle import count_clar_covers, enumerate_perfect_matchings, zz_from_matchings
 from .strip_geometry import (
     SHAPE_LETTERS,
     StripSpec,
@@ -91,6 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
             choices.append("dot")
         p.add_argument("--format", dest="fmt", choices=choices, default="text")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it found it, so one built per
+    # process serves every main() call.
+    return build_parser()
 
 
 def _read_strip_text(args) -> str | None:
@@ -165,7 +168,7 @@ def _config_from_args(args) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -263,21 +266,21 @@ def _run_extensions(config: RunConfig) -> int:
     return 0
 
 
-def _zz_json(spec: StripSpec, zz: ZzPolynomial, cf: ClosedForm | None) -> str:
+def _zz_json(spec: StripSpec, zz: ZzPolynomial, cf_data: dict | None) -> str:
     data = {
         "shapes": list(spec.shapes),
         "n": spec.n,
         "zz": {"coeffs": list(zz.coeffs)},
     }
-    if cf is not None:
-        data["closed_form"] = json.loads(cf.to_json())
+    if cf_data is not None:
+        data["closed_form"] = cf_data
     return json.dumps(data)
 
 
 def _run_zz(config: RunConfig) -> int:
     # The DIB poset depends on the shapes and the interface orders, not
     # on n, so one closed form serves every n of the request.
-    cf = None
+    cf = cf_data = None
     for n in config.n_values:
         spec = StripSpec(config.spec.shapes, n)
         report = validate(spec)
@@ -290,9 +293,10 @@ def _run_zz(config: RunConfig) -> int:
         else:
             if cf is None:
                 cf = closed_form(spec)
+                cf_data = cf.to_dict()
             zz = cf.evaluate(n)
         if config.fmt == "json":
-            print(_zz_json(spec, zz, cf))
+            print(_zz_json(spec, zz, cf_data))
         elif config.fmt == "latex":
             print(zz.to_latex())
         else:
@@ -303,8 +307,7 @@ def _run_zz(config: RunConfig) -> int:
 def _run_closed_form(config: RunConfig) -> int:
     cf = closed_form(config.spec)
     if config.fmt == "json":
-        data = {"shapes": list(config.spec.shapes),
-                "closed_form": json.loads(cf.to_json())}
+        data = {"shapes": list(config.spec.shapes), "closed_form": cf.to_dict()}
         if not config.symbolic:
             data["n"] = config.spec.n
             data["zz"] = {"coeffs": list(cf.evaluate(config.spec.n).coeffs)}
@@ -351,9 +354,8 @@ def _run_oracle(config: RunConfig) -> int:
     spec = config.spec
     graph = build_graph(spec)
     matchings = enumerate_perfect_matchings(graph, max_vertices=config.max_vertices)
-    covers = iter_clar_covers(graph, max_vertices=config.max_vertices)
     zz_poset = zz_polynomial(spec)
-    zz_covers = zz_from_covers(covers)
+    zz_covers = count_clar_covers(graph)
     zz_sextets = zz_from_matchings(graph, matchings)
     agree = zz_poset == zz_covers == zz_sextets
     if config.fmt == "json":
@@ -430,8 +432,7 @@ def _run_catalog(config: RunConfig) -> int:
             spec = StripSpec(shapes, 2)
         cf = closed_form(spec)
         if config.fmt == "json":
-            data = {"shapes": "".join(shapes),
-                    "closed_form": json.loads(cf.to_json())}
+            data = {"shapes": "".join(shapes), "closed_form": cf.to_dict()}
             if config.n_values:
                 data["n"] = spec.n
                 data["zz"] = {"coeffs": list(cf.evaluate(spec.n).coeffs)}

@@ -3,8 +3,13 @@
 Everything here works edge-by-edge on the realized graph and knows
 nothing about posets: perfect matchings by exhaustive branching, proper
 sextets by direct pattern matching on hexagons, Clar covers by choosing
-vertex-disjoint aromatic hexagons and matching the rest. The three ZZ
-routes (cover histogram, sextet histogram, poset engine) must agree.
+vertex-disjoint aromatic hexagons and matching the rest. The cover
+histogram comes from ``count_clar_covers``, a transfer-matrix DP over
+the vertices that counts the covers without building them and needs no
+vertex guard; ``enumerate_clar_covers`` still builds every cover, as the
+reference the DP is tested against. The sextet route still counts the
+proper sextets of each enumerated matching. The three ZZ routes (cover
+histogram, sextet histogram, poset engine) must agree.
 The mirrored sextet pattern is the ring's other Kekule configuration,
 so it reproduces all three aggregate routes on every strip; it breaks
 only the per-matching agreement with the bijection, where the sextet
@@ -167,6 +172,56 @@ def zz_from_covers(covers: Iterable[ExplicitClarCover]) -> ZzPolynomial:
             counts.extend([0] * (k + 1 - len(counts)))
         counts[k] += 1
     return ZzPolynomial.from_coeffs(counts)
+
+
+def _merge(layer: dict[int, list[int]], mask: int, counts: list[int]) -> None:
+    # Adds counts into the state's list in place; the caller hands over
+    # a list no other state holds.
+    old = layer.get(mask)
+    if old is None:
+        layer[mask] = counts
+        return
+    if len(old) < len(counts):
+        layer[mask] = counts
+        old, counts = counts, old
+    for k, c in enumerate(counts):
+        old[k] += c
+
+
+def count_clar_covers(graph: BenzenoidGraph) -> ZzPolynomial:
+    """Clar covers counted by ring number, without building them.
+
+    A transfer-matrix DP over the vertices in index order. The state at
+    v is the bitmask of covered vertices at or after v (bit 0 = v), and
+    its value the cover counts by ring number. An uncovered v takes a
+    bond to an uncovered neighbour u > v, or an uncovered ring whose
+    lowest vertex is v; the piece covering the lowest uncovered vertex
+    is chosen there, so each cover is counted once. No guard applies.
+    """
+    size = graph.num_vertices
+    bonds = [
+        [1 << (u - v) for u in graph.adjacency[v] if u > v] for v in range(size)
+    ]
+    rings: list[list[int]] = [[] for _ in range(size)]
+    for hexagon in graph.hexagons:
+        low = min(hexagon.vertices)
+        rings[low].append(sum(1 << (u - low) for u in hexagon.vertices))
+
+    states: dict[int, list[int]] = {0: [1]}
+    for v in range(size):
+        layer: dict[int, list[int]] = {}
+        for mask, counts in states.items():
+            if mask & 1:
+                _merge(layer, mask >> 1, counts)
+                continue
+            for bit in bonds[v]:
+                if not mask & bit:
+                    _merge(layer, (mask | bit) >> 1, counts[:])
+            for ring in rings[v]:
+                if not mask & ring:
+                    _merge(layer, (mask | ring) >> 1, [0] + counts)
+        states = layer
+    return ZzPolynomial.from_coeffs(states.get(0, ()))
 
 
 def zz_from_matchings(

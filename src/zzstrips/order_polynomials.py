@@ -281,13 +281,15 @@ class ClosedForm:
         body = " + ".join(self._term_pieces(d, f, m, latex=True) for d, f, m in self.groups)
         return rf"\sum_{{k=0}}^{{{self.p}}} \left[ {body} \right] (1+x)^{{k}}"
 
+    def to_dict(self) -> dict:
+        """The JSON object of ``to_json``, before encoding."""
+        return {
+            "p": self.p,
+            "groups": [{"des": d, "fix": f, "mult": m} for d, f, m in self.groups],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "groups": [{"des": d, "fix": f, "mult": m} for d, f, m in self.groups],
-            }
-        )
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "ClosedForm":

@@ -6,11 +6,14 @@ from zzstrips import (
     DibPoset,
     StripSpec,
     ZzPolynomial,
+    build_graph,
     build_poset,
     closed_form,
+    enumerate_clar_covers,
     generate_clar_covers,
     map_from_kekule,
     parse_strip,
+    zz_from_covers,
 )
 from zzstrips.cli import catalog_shapes, main, mirror_orbit
 
@@ -221,6 +224,20 @@ class TestOracleMode:
         assert code == 3
         assert "guard" in err
 
+    def test_covers_equal_enumeration(self, capsys, small_catalog):
+        for spec in small_catalog:
+            text = f"{''.join(spec.shapes)} {spec.n}"
+            code, out, _ = run_cli(capsys, "oracle", text, "--format", "json")
+            assert code == 0
+            expected = zz_from_covers(enumerate_clar_covers(build_graph(spec)))
+            assert json.loads(out)["covers"] == {"coeffs": list(expected.coeffs)}
+
+    def test_guard_hit_before_any_output(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "WWWRNNN 3", "--max-vertices", "10")
+        assert code == 3
+        assert err.startswith("guard exceeded:")
+        assert out == ""
+
 
 class TestCatalogMode:
     def test_tiers_2_contains_parallelogram(self, capsys):
@@ -292,3 +309,15 @@ class TestUsage:
 
     def test_unknown_mode_exits_2(self, capsys):
         assert main(["no-such-mode"]) == 2
+
+    def test_calls_share_no_parse_state(self, capsys):
+        # main() reuses one parser per process; a failed or help call
+        # must leave nothing behind for the next one
+        first = run_cli(capsys, "zz", "--shapes", "WRN", "--length", "2")
+        assert run_cli(capsys, "zz", "--format", "dot")[0] == 2
+        code, out, _ = run_cli(capsys, "oracle", "--help")
+        assert code == 0
+        assert "--max-vertices" in out
+        assert run_cli(capsys, "zz", "--shapes", "WRN", "--length", "2") == first
+        code, _, err = run_cli(capsys, "zz", "--shapes", "WRN")
+        assert (code, err) == (2, "error: missing --length\n")

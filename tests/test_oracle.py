@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from zzstrips import (
@@ -5,6 +7,7 @@ from zzstrips import (
     StripSpec,
     build_graph,
     build_poset,
+    count_clar_covers,
     count_proper_sextets,
     enumerate_clar_covers,
     enumerate_kekule,
@@ -14,6 +17,7 @@ from zzstrips import (
     map_from_kekule,
     zz_from_covers,
     zz_from_matchings,
+    parse_strip,
     zz_polynomial,
 )
 
@@ -137,6 +141,31 @@ class TestZzRoutes:
         for spec in small_catalog:
             graph = build_graph(spec)
             assert zz_from_matchings(graph, mirrored=True) == zz_polynomial(spec)
+
+
+class TestCountClarCovers:
+    def test_equals_enumeration_on_catalog(self, catalog):
+        for spec in catalog:
+            graph = build_graph(spec)
+            assert count_clar_covers(graph) == zz_from_covers(enumerate_clar_covers(graph))
+
+    @pytest.mark.parametrize("text", ["WWWRRRNNN 3", "WWWWRNNNN 3"])
+    def test_equals_poset_route_past_the_guard(self, text):
+        spec = parse_strip(text)
+        graph = build_graph(spec)
+        assert graph.num_vertices > 60
+        assert count_clar_covers(graph) == zz_polynomial(spec)
+
+    def test_deeper_than_the_recursion_limit(self):
+        # one DP layer per vertex, none of them a Python frame
+        spec = parse_strip("WRN 200")
+        graph = build_graph(spec)
+        assert graph.num_vertices > sys.getrecursionlimit()
+        assert count_clar_covers(graph) == zz_polynomial(spec)
+
+    def test_non_kekulean_zero(self):
+        graph = build_graph(StripSpec(tuple("WNNWWN"), 4))
+        assert count_clar_covers(graph).is_zero
 
 
 class TestExtractKi:
