@@ -11,7 +11,6 @@ failure, 3 guard violation.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -89,11 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args leaves the parser as it found it, so one built per
-    # process serves every main() call.
-    return build_parser()
+# parse_args leaves the parser as it found it, so one built at import
+# serves every main() call, and no call pays for building it.
+_PARSER = build_parser()
 
 
 def _read_strip_text(args) -> str | None:
@@ -168,7 +165,7 @@ def _config_from_args(args) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
