@@ -22,24 +22,12 @@ from .kekule_bijection import enumerate_kekule, generate_clar_covers
 from .order_polynomials import ZzPolynomial, closed_form, zz_polynomial
 from .oracle import count_clar_covers, enumerate_perfect_matchings, zz_from_matchings
 from .strip_geometry import (
-    SHAPE_LETTERS,
     StripSpec,
     build_graph,
+    catalog_shapes,
     interface_profile,
     parse_strip,
     validate,
-)
-
-MODES = (
-    "profile",
-    "poset",
-    "extensions",
-    "zz",
-    "closed-form",
-    "kekule",
-    "clar",
-    "oracle",
-    "catalog",
 )
 
 
@@ -86,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices.append("dot")
         p.add_argument("--format", dest="fmt", choices=choices, default="text")
     return parser
-
-
-# parse_args leaves the parser as it found it, so one built at import
-# serves every main() call, and no call pays for building it.
-_PARSER = build_parser()
 
 
 def _read_strip_text(args) -> str | None:
@@ -180,18 +163,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run(config: RunConfig) -> int:
-    handler = {
-        "profile": _run_profile,
-        "poset": _run_poset,
-        "extensions": _run_extensions,
-        "zz": _run_zz,
-        "closed-form": _run_closed_form,
-        "kekule": _run_kekule,
-        "clar": _run_clar,
-        "oracle": _run_oracle,
-        "catalog": _run_catalog,
-    }[config.mode]
-    return handler(config)
+    return MODES[config.mode](config)
 
 
 def _dib_json(d) -> dict:
@@ -378,47 +350,6 @@ def _run_oracle(config: RunConfig) -> int:
     return 0 if agree else 1
 
 
-def _mirror_lr(shapes: tuple[str, ...]) -> tuple[str, ...]:
-    swap = {"R": "L", "L": "R"}
-    return tuple(swap.get(s, s) for s in shapes)
-
-
-def _rotate(shapes: tuple[str, ...]) -> tuple[str, ...]:
-    swap = {"W": "N", "N": "W"}
-    return tuple(swap.get(s, s) for s in reversed(shapes))
-
-
-def mirror_orbit(shapes: tuple[str, ...]) -> set[tuple[str, ...]]:
-    lr = _mirror_lr(shapes)
-    return {shapes, lr, _rotate(shapes), _rotate(lr)}
-
-
-_LETTER_RANK = {"W": 0, "N": 1, "R": 2, "L": 3}
-
-
-def _canonical_shapes(shapes: tuple[str, ...]) -> tuple[str, ...]:
-    return min(mirror_orbit(shapes), key=lambda s: tuple(_LETTER_RANK[c] for c in s))
-
-
-def catalog_shapes(max_tiers: int, dedup: bool = True) -> list[tuple[str, ...]]:
-    """Shape sequences of every Kekulean strip family with at most
-    max_tiers tiers, optionally one representative per mirror orbit."""
-    import itertools
-
-    out = []
-    for m in range(1, max_tiers + 1):
-        for interior in itertools.product(SHAPE_LETTERS, repeat=m - 1):
-            shapes = ("W",) + interior + ("N",)
-            spec = StripSpec(shapes, 2)
-            report = validate(spec)
-            if not (report.is_valid and report.is_kekulean):
-                continue
-            if dedup and shapes != _canonical_shapes(shapes):
-                continue
-            out.append(shapes)
-    return out
-
-
 def _run_catalog(config: RunConfig) -> int:
     for shapes in catalog_shapes(config.tiers, dedup=config.dedup):
         if config.n_values:
@@ -440,6 +371,25 @@ def _run_catalog(config: RunConfig) -> int:
                 line += f"  |  n={spec.n}: {cf.evaluate(spec.n)}"
             print(line)
     return 0
+
+
+# One handler per subcommand, in the order --help lists them; both the
+# parser and run() read this table.
+MODES = {
+    "profile": _run_profile,
+    "poset": _run_poset,
+    "extensions": _run_extensions,
+    "zz": _run_zz,
+    "closed-form": _run_closed_form,
+    "kekule": _run_kekule,
+    "clar": _run_clar,
+    "oracle": _run_oracle,
+    "catalog": _run_catalog,
+}
+
+# parse_args leaves the parser as it found it, so one built at import
+# serves every main() call, and no call pays for building it.
+_PARSER = build_parser()
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ left to right. Each interior fragment chains the DIBs of its two
 interfaces into a zigzag whose direction depends on which interface
 holds the fragment's leftmost interface bond. The transitive closure of
 those chains is the strict partial order used by every counting routine
-downstream.
+downstream. It is stored once, in the poset, as one integer below-set
+per element, bit t standing for the t-th element in (k, j) order.
 """
 
 from __future__ import annotations
@@ -34,59 +35,50 @@ class Dib:
         return f"s({self.k},{self.j})"
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class DibPoset:
     """Finite strict poset over Dib elements.
 
-    Stores the cover relation and the full strict order; construction
-    rejects anything that is not irreflexive and antisymmetric.
+    Stores the cover relation and the full strict order, the latter once,
+    as one integer below-set per element: bit t of ``below_masks[i]`` is
+    set iff ``elements[t] < elements[i]``. Construction rejects anything
+    that is not irreflexive and antisymmetric.
     """
 
     def __init__(self, elements: Iterable[Dib], covers: Iterable[tuple[Dib, Dib]]):
         self.elements: tuple[Dib, ...] = tuple(sorted(set(elements)))
+        self._index = {e: i for i, e in enumerate(self.elements)}
         cover_set = set()
-        index = set(self.elements)
         for a, b in covers:
-            if a not in index or b not in index:
+            if a not in self._index or b not in self._index:
                 raise ValueError(f"cover ({a}, {b}) uses unknown element")
             if a == b:
                 raise ValueError(f"reflexive cover at {a}")
             cover_set.add((a, b))
         self.covers: tuple[tuple[Dib, Dib], ...] = tuple(sorted(cover_set))
-        self._below = self._close()
 
-    def _close(self) -> dict[Dib, frozenset[Dib]]:
-        succs: dict[Dib, list[Dib]] = {e: [] for e in self.elements}
+        p = len(self.elements)
+        below = [0] * p
         for a, b in self.covers:
-            succs[a].append(b)
-
-        below: dict[Dib, set[Dib]] = {e: set() for e in self.elements}
-        order = self._topo_order(succs)
-        for e in order:
-            for b in succs[e]:
-                below[b].add(e)
-                below[b].update(below[e])
-        for e, lower in below.items():
-            if e in lower:
-                raise ValueError(f"relation is cyclic at {e}")
-        return {e: frozenset(lower) for e, lower in below.items()}
-
-    def _topo_order(self, succs: dict[Dib, list[Dib]]) -> list[Dib]:
-        indeg = {e: 0 for e in self.elements}
-        for e in self.elements:
-            for b in succs[e]:
-                indeg[b] += 1
-        ready = sorted(e for e in self.elements if indeg[e] == 0)
-        out = []
-        while ready:
-            e = ready.pop(0)
-            out.append(e)
-            for b in succs[e]:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    ready.append(b)
-        if len(out) != len(self.elements):
-            raise ValueError("cover relation contains a cycle")
-        return out
+            below[self._index[b]] |= 1 << self._index[a]
+        # Warshall: after step t each mask holds every element that
+        # reaches it through intermediates among elements 0..t
+        for t in range(p):
+            bit, below_t = 1 << t, below[t]
+            for i in range(p):
+                if below[i] & bit:
+                    below[i] |= below_t
+        for i, mask in enumerate(below):
+            if mask >> i & 1:
+                raise ValueError(f"relation is cyclic at {self.elements[i]}")
+        self.below_masks: tuple[int, ...] = tuple(below)
 
     @property
     def p(self) -> int:
@@ -94,42 +86,43 @@ class DibPoset:
 
     def less(self, a: Dib, b: Dib) -> bool:
         """True when a is strictly below b."""
-        return a in self._below[b]
+        return bool(self.below_masks[self._index[b]] >> self._index[a] & 1)
 
     def below(self, b: Dib) -> frozenset[Dib]:
         """All elements strictly below b."""
-        return self._below[b]
+        return frozenset(self.elements[t] for t in _bits(self.below_masks[self._index[b]]))
 
     def subposet(self, members: Iterable[Dib]) -> "DibPoset":
         """Induced subposet: inherited order, covers recomputed."""
         kept = sorted(set(members))
         for e in kept:
-            if e not in self._below:
+            if e not in self._index:
                 raise ValueError(f"{e} is not an element of this poset")
-        kept_set = set(kept)
+        keep = sum(1 << self._index[e] for e in kept)
+        masks, elements = self.below_masks, self.elements
         covers = []
-        for a in kept:
-            for b in kept:
-                if a in self._below[b]:
-                    between = self._below[b] & kept_set
-                    if not any(a in self._below[c] for c in between):
-                        covers.append((a, b))
+        for b in _bits(keep):
+            lower = masks[b] & keep
+            # a kept a < b is a cover unless it lies below a kept c < b
+            implied = 0
+            for c in _bits(lower):
+                implied |= masks[c]
+            covers.extend((elements[a], elements[b]) for a in _bits(lower & ~implied))
         return DibPoset(kept, covers)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DibPoset):
             return NotImplemented
-        return self.elements == other.elements and self._below == other._below
+        return self.elements == other.elements and self.below_masks == other.below_masks
 
     def __repr__(self) -> str:
         return f"DibPoset(p={self.p}, covers={len(self.covers)})"
 
     def to_json(self) -> str:
-        index = {e: i for i, e in enumerate(self.elements)}
         return json.dumps(
             {
                 "elements": [{"k": e.k, "j": e.j} for e in self.elements],
-                "covers": [[index[a], index[b]] for a, b in self.covers],
+                "covers": [[self._index[a], self._index[b]] for a, b in self.covers],
             }
         )
 
@@ -230,11 +223,14 @@ class NaturalLabeling:
 def natural_labeling(poset: DibPoset) -> NaturalLabeling:
     """Canonical labeling: repeatedly remove the minimal element with
     lexicographically smallest (j, k)."""
-    remaining = set(poset.elements)
+    elements = poset.elements
+    by_jk = sorted(range(poset.p), key=lambda i: (elements[i].j, elements[i].k))
+    placed = 0
     order: list[Dib] = []
-    while remaining:
-        candidates = [e for e in remaining if not (poset.below(e) & remaining)]
-        pick = min(candidates, key=lambda e: (e.j, e.k))
-        order.append(pick)
-        remaining.remove(pick)
+    while by_jk:
+        # the first element in (j, k) order with nothing left below it
+        pick = next(i for i in by_jk if not poset.below_masks[i] & ~placed)
+        by_jk.remove(pick)
+        placed |= 1 << pick
+        order.append(elements[pick])
     return NaturalLabeling(poset, order)

@@ -94,14 +94,11 @@ def _check_order_map(poset: DibPoset, om: OrderMap, n: int) -> None:
 
 def _assignment_from_map(poset: DibPoset, om: OrderMap) -> KekuleAssignment:
     chosen = om.as_dict()
+    values = [chosen.get(e, 0) for e in poset.elements]
     positions = []
-    for e in poset.elements:
-        if e in chosen:
-            spread = chosen[e]
-        else:
-            spread = max(
-                (chosen[b] for b in poset.below(e) if b in chosen), default=0
-            )
+    for e, spread, lows in zip(poset.elements, values, poset.below_masks):
+        if e not in chosen:
+            spread = max((values[t] for t in range(poset.p) if lows >> t & 1), default=0)
         positions.append(spread + e.j)
     return KekuleAssignment(poset.elements, tuple(positions))
 
@@ -138,10 +135,11 @@ def map_from_kekule(
                 f"positions violate alternation: {a} < {b} but offsets "
                 f"{offsets[a]} > {offsets[b]}"
             )
+    values = list(offsets.values())
     selected = [
         e
-        for e in poset.elements
-        if offsets[e] > max((offsets[b] for b in poset.below(e)), default=0)
+        for e, value, lows in zip(poset.elements, values, poset.below_masks)
+        if value > max((values[t] for t in range(poset.p) if lows >> t & 1), default=0)
     ]
     return OrderMap(tuple(selected), tuple(offsets[e] for e in selected))
 
@@ -184,11 +182,11 @@ def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignme
     poset = build_poset(spec)
     elements = poset.elements
     p = poset.p
-    index = {e: i for i, e in enumerate(elements)}
-    below = [[index[b] for b in poset.below(e)] for e in elements]
-    below_mask = [sum(1 << b for b in lows) for lows in below]
+    below_mask = poset.below_masks
     # every DIB spreads to the largest value at or below it (0 if none)
-    spread_from = [[i] + lows for i, lows in enumerate(below)]
+    spread_from = [
+        [t for t in range(p) if (lows | 1 << i) >> t & 1] for i, lows in enumerate(below_mask)
+    ]
     offsets = [e.j for e in elements]
     for mask in range(1 << p):
         idx = [i for i in range(p) if mask >> i & 1]

@@ -99,21 +99,14 @@ class ZzPolynomial:
         return total
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                power = "x" if k == 1 else f"x^{k}"
-                terms.append(power if c == 1 else f"{c}{power}")
-        return " + ".join(terms)
+        return self._terms("x^{}")
 
     def to_latex(self) -> str:
+        return self._terms("x^{{{}}}")
+
+    def _terms(self, power_format: str) -> str:
+        """Nonzero terms, highest power first, joined by " + ";
+        power_format writes x^k for k >= 2."""
         if self.is_zero:
             return "0"
         terms = []
@@ -124,7 +117,7 @@ class ZzPolynomial:
             if k == 0:
                 terms.append(str(c))
             else:
-                power = "x" if k == 1 else f"x^{{{k}}}"
+                power = "x" if k == 1 else power_format.format(k)
                 terms.append(power if c == 1 else f"{c}{power}")
         return " + ".join(terms)
 

@@ -16,6 +16,7 @@ Adjacent tiers share the zigzag of vertices between them.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -211,6 +212,45 @@ def validate(spec: StripSpec) -> ValidationReport:
         is_kekulean=kekulean,
         problems=tuple(problems),
     )
+
+
+def _mirror_lr(shapes: tuple[str, ...]) -> tuple[str, ...]:
+    swap = {"R": "L", "L": "R"}
+    return tuple(swap.get(s, s) for s in shapes)
+
+
+def _rotate(shapes: tuple[str, ...]) -> tuple[str, ...]:
+    swap = {"W": "N", "N": "W"}
+    return tuple(swap.get(s, s) for s in reversed(shapes))
+
+
+def mirror_orbit(shapes: tuple[str, ...]) -> set[tuple[str, ...]]:
+    lr = _mirror_lr(shapes)
+    return {shapes, lr, _rotate(shapes), _rotate(lr)}
+
+
+_LETTER_RANK = {"W": 0, "N": 1, "R": 2, "L": 3}
+
+
+def _canonical_shapes(shapes: tuple[str, ...]) -> tuple[str, ...]:
+    return min(mirror_orbit(shapes), key=lambda s: tuple(_LETTER_RANK[c] for c in s))
+
+
+def catalog_shapes(max_tiers: int, dedup: bool = True) -> list[tuple[str, ...]]:
+    """Shape sequences of every Kekulean strip family with at most
+    max_tiers tiers, optionally one representative per mirror orbit."""
+    out = []
+    for m in range(1, max_tiers + 1):
+        for interior in itertools.product(SHAPE_LETTERS, repeat=m - 1):
+            shapes = ("W",) + interior + ("N",)
+            spec = StripSpec(shapes, 2)
+            report = validate(spec)
+            if not (report.is_valid and report.is_kekulean):
+                continue
+            if dedup and shapes != _canonical_shapes(shapes):
+                continue
+            out.append(shapes)
+    return out
 
 
 def tier_offsets(spec: StripSpec) -> tuple[int, ...]:

@@ -2,25 +2,23 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 
 from zzstrips import Dib, DibPoset, NaturalLabeling, StripSpec, validate
+from zzstrips.strip_geometry import catalog_shapes
 
 
 def all_strips(max_tiers: int, lengths: tuple[int, ...]) -> list[StripSpec]:
     """Every valid Kekulean (shapes, n) combination, no mirror dedup."""
     specs = []
-    for m in range(1, max_tiers + 1):
-        for interior in itertools.product("WNRL", repeat=m - 1):
-            shapes = ("W",) + interior + ("N",)
-            for n in lengths:
-                spec = StripSpec(shapes, n)
-                report = validate(spec)
-                if report.is_valid and report.is_kekulean:
-                    specs.append(spec)
+    for shapes in catalog_shapes(max_tiers, dedup=False):
+        for n in lengths:
+            spec = StripSpec(shapes, n)
+            report = validate(spec)
+            if report.is_valid and report.is_kekulean:
+                specs.append(spec)
     return specs
 
 

@@ -15,7 +15,8 @@ from zzstrips import (
     parse_strip,
     zz_from_covers,
 )
-from zzstrips.cli import catalog_shapes, main, mirror_orbit
+from zzstrips.cli import catalog_shapes, main
+from zzstrips.strip_geometry import mirror_orbit
 
 
 def run_cli(capsys, *argv):

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zzstrips import (
     Dib,
@@ -162,3 +166,98 @@ class TestSerialization:
     def test_antichain_equality(self):
         assert antichain_poset(3) == antichain_poset(3)
         assert antichain_poset(3) != chain_poset(3)
+
+
+@st.composite
+def dags_with_implied_covers(draw):
+    """(p, elements, covers) for a random DAG on p <= 10 elements. The
+    edges follow a random topological order, so they run both ways
+    against the (k, j) order of the elements, and whenever the DAG has a
+    path of two steps the cover list also carries some pair it implies."""
+    p = draw(st.integers(0, 10))
+    topo = draw(st.permutations(range(p)))
+    pairs = [(topo[i], topo[j]) for i in range(p) for j in range(i + 1, p)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    two_steps = sorted({(a, c) for a, b in edges for b2, c in edges if b == b2} - edges)
+    if two_steps:
+        edges |= draw(st.sets(st.sampled_from(two_steps), min_size=1))
+    elements = [Dib(t % 3 + 1, t // 3 + 1) for t in range(p)]
+    return p, elements, [(elements[a], elements[b]) for a, b in sorted(edges)]
+
+
+def reachable(elements, covers, start):
+    """Elements reachable from start along covers, by depth-first search."""
+    succs = {e: [b for a, b in covers if a == e] for e in elements}
+    seen, stack = set(), [start]
+    while stack:
+        for b in succs[stack.pop()]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return seen
+
+
+def rescan_labeling(poset):
+    """The labeling rule spelled out: rescan every remaining element for
+    the minimal ones and take the smallest (j, k)."""
+    remaining = set(poset.elements)
+    order = []
+    while remaining:
+        candidates = [e for e in remaining if not (poset.below(e) & remaining)]
+        pick = min(candidates, key=lambda e: (e.j, e.k))
+        order.append(pick)
+        remaining.remove(pick)
+    return tuple(order)
+
+
+class TestStoredOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(dags_with_implied_covers())
+    def test_less_is_reachability(self, dag):
+        p, elements, covers = dag
+        poset = DibPoset(elements, covers)
+        for a in elements:
+            above = reachable(elements, covers, a)
+            for b in elements:
+                assert poset.less(a, b) == (b in above), (a, b)
+                assert (a in poset.below(b)) == (b in above)
+
+    @pytest.mark.parametrize(
+        "cycle",
+        [
+            [(Dib(1, 1), Dib(2, 1)), (Dib(2, 1), Dib(3, 1)), (Dib(3, 1), Dib(1, 1))],
+            [(Dib(3, 1), Dib(2, 1)), (Dib(2, 1), Dib(1, 1)), (Dib(1, 1), Dib(3, 1))],
+        ],
+    )
+    def test_three_cycle_rejected(self, cycle):
+        with pytest.raises(ValueError, match="cyclic"):
+            DibPoset([Dib(1, 1), Dib(2, 1), Dib(3, 1), Dib(4, 1)], cycle)
+
+    def test_cycle_through_implied_relation_rejected(self):
+        a, b, c, d = Dib(1, 1), Dib(1, 2), Dib(2, 1), Dib(2, 2)
+        # a < b < c < d carries the implied a < d, which d < a contradicts
+        covers = [(a, b), (b, c), (c, d), (a, c), (d, a)]
+        with pytest.raises(ValueError, match="cyclic"):
+            DibPoset([a, b, c, d], covers)
+
+    def test_subposet_covers_on_catalog(self, catalog):
+        rng = random.Random(7)
+        for spec in catalog:
+            poset = build_poset(spec)
+            for _ in range(4):
+                kept = [e for e in poset.elements if rng.random() < 0.6]
+                expected = {
+                    (a, b)
+                    for a in kept
+                    for b in kept
+                    if poset.less(a, b)
+                    and not any(poset.less(a, c) and poset.less(c, b) for c in kept)
+                }
+                sub = poset.subposet(kept)
+                assert set(sub.covers) == expected, (spec, kept)
+                assert sub.elements == tuple(kept)
+
+    def test_natural_labeling_matches_rescan_on_catalog(self, catalog):
+        for spec in catalog:
+            poset = build_poset(spec)
+            assert natural_labeling(poset).elements_by_label == rescan_labeling(poset), spec
