@@ -235,10 +235,10 @@ def _run_extensions(config: RunConfig) -> int:
     return 0
 
 
-def _zz_json(spec: StripSpec, zz: ZzPolynomial, cf_data: dict | None) -> str:
+def _zz_json(shapes: tuple[str, ...], n: int, zz: ZzPolynomial, cf_data: dict | None) -> str:
     data = {
-        "shapes": list(spec.shapes),
-        "n": spec.n,
+        "shapes": list(shapes),
+        "n": n,
         "zz": {"coeffs": list(zz.coeffs)},
     }
     if cf_data is not None:
@@ -247,25 +247,24 @@ def _zz_json(spec: StripSpec, zz: ZzPolynomial, cf_data: dict | None) -> str:
 
 
 def _run_zz(config: RunConfig) -> int:
-    # The DIB poset depends on the shapes and the interface orders, not
-    # on n, so one closed form serves every n of the request.
-    cf = cf_data = None
+    shapes = config.spec.shapes
+    # One check at the first n covers the whole range: |i_k| = ord(i_k) + n,
+    # so a strip valid at n stays valid at every larger n, and
+    # Kekulean-ness depends on the orders alone. The DIB poset does not
+    # depend on n either, so one closed form serves every n.
+    try:
+        cf = closed_form(StripSpec(shapes, config.n_values[0]))
+    except NonKekuleanError as exc:
+        cf, warning = None, f"warning: {exc}"
+    cf_data = None if cf is None else cf.to_dict()
     for n in config.n_values:
-        spec = StripSpec(config.spec.shapes, n)
-        report = validate(spec)
-        if not report.is_valid:
-            raise InvalidStripError("; ".join(report.problems))
-        if not report.is_kekulean:
-            warning = next(p for p in report.problems if "Kekulean" in p)
-            print(f"warning: {warning}", file=sys.stderr)
+        if cf is None:
+            print(warning, file=sys.stderr)
             zz = ZzPolynomial.zero()
         else:
-            if cf is None:
-                cf = closed_form(spec)
-                cf_data = cf.to_dict()
             zz = cf.evaluate(n)
         if config.fmt == "json":
-            print(_zz_json(spec, zz, cf_data))
+            print(_zz_json(shapes, n, zz, cf_data))
         elif config.fmt == "latex":
             print(zz.to_latex())
         else:
@@ -351,24 +350,24 @@ def _run_oracle(config: RunConfig) -> int:
 
 
 def _run_catalog(config: RunConfig) -> int:
+    n = config.n_values[0] if config.n_values else 2
     for shapes in catalog_shapes(config.tiers, dedup=config.dedup):
-        if config.n_values:
-            spec = StripSpec(shapes, config.n_values[0])
-            if not validate(spec).is_valid:
-                continue
-        else:
-            spec = StripSpec(shapes, 2)
-        cf = closed_form(spec)
+        # every family is Kekulean; a short --length can still leave a
+        # tier without hexagons
+        try:
+            cf = closed_form(StripSpec(shapes, n))
+        except InvalidStripError:
+            continue
         if config.fmt == "json":
             data = {"shapes": "".join(shapes), "closed_form": cf.to_dict()}
             if config.n_values:
-                data["n"] = spec.n
-                data["zz"] = {"coeffs": list(cf.evaluate(spec.n).coeffs)}
+                data["n"] = n
+                data["zz"] = {"coeffs": list(cf.evaluate(n).coeffs)}
             print(json.dumps(data))
         else:
             line = f"{''.join(shapes)}  p={cf.p}  {cf.as_text()}"
             if config.n_values:
-                line += f"  |  n={spec.n}: {cf.evaluate(spec.n)}"
+                line += f"  |  n={n}: {cf.evaluate(n)}"
             print(line)
     return 0
 

@@ -18,13 +18,14 @@ count of each matching must equal the size of its domain A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .dib_poset import Dib
 from .errors import GuardExceeded
 from .kekule_bijection import KekuleAssignment
-from .order_polynomials import ZzPolynomial, binom
+from .order_polynomials import ZzPolynomial
 from .strip_geometry import BenzenoidGraph, Edge
 
 MAX_ORACLE_VERTICES = 60
@@ -242,7 +243,7 @@ def zz_from_matchings(
     coeffs = [0] * (top + 1)
     for k, a_k in enumerate(a):
         for i in range(k + 1):
-            coeffs[i] += a_k * binom(k, i)
+            coeffs[i] += a_k * math.comb(k, i)
     return ZzPolynomial.from_coeffs(coeffs)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -31,24 +30,12 @@ from .strip_geometry import StripSpec
 DEFAULT_SUBSET_GUARD = 20
 DEFAULT_MAP_GUARD = 4_000_000
 
-SUBSET_GUARD_ENV = "ZZ_GUARD_P"
-
 
 def binom(n: int, k: int) -> int:
     """C(n, k), zero whenever k < 0 or k > n."""
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def subset_guard() -> int:
-    raw = os.environ.get(SUBSET_GUARD_ENV)
-    if raw is None:
-        return DEFAULT_SUBSET_GUARD
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SUBSET_GUARD_ENV}={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -134,7 +121,7 @@ def strict_order_poly(poset: DibPoset, n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     counts = des_fix_counts(poset, natural_labeling(poset))
-    return sum(mult * binom(n + des, poset.p) for (des, _), mult in counts.items())
+    return sum(mult * math.comb(n + des, poset.p) for (des, _), mult in counts.items())
 
 
 def brute_force_strict_maps(
@@ -166,13 +153,12 @@ def brute_force_strict_maps(
 
 
 def extended_poly_subposet_sum(
-    poset: DibPoset, n: int, max_p: int | None = None
+    poset: DibPoset, n: int, max_p: int = DEFAULT_SUBSET_GUARD
 ) -> tuple[int, ...]:
     """E(n, z) by its definition: sum of strict order polynomials over
     all induced subposets, weighted by z^|subposet|."""
-    limit = subset_guard() if max_p is None else max_p
-    if poset.p > limit:
-        raise GuardExceeded(f"poset size {poset.p} exceeds subset guard {limit}")
+    if poset.p > max_p:
+        raise GuardExceeded(f"poset size {poset.p} exceeds subset guard {max_p}")
     coeffs = [0] * (poset.p + 1)
     for sub in induced_subposets(poset):
         coeffs[sub.p] += strict_order_poly(sub, n)
@@ -190,10 +176,12 @@ def extended_poly_extension_formula(
 
 def _group_sum(p: int, groups: Iterable[tuple[int, int, int]], n: int) -> tuple[int, ...]:
     # sum over groups of mult * C(p - fix, k - fix) * C(n + des, k) z^k
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     coeffs = [0] * (p + 1)
     for des, fix, mult in groups:
         for k in range(fix, p + 1):
-            coeffs[k] += mult * math.comb(p - fix, k - fix) * binom(n + des, k)
+            coeffs[k] += mult * math.comb(p - fix, k - fix) * math.comb(n + des, k)
     return tuple(coeffs)
 
 
@@ -222,7 +210,7 @@ def zz_polynomial(spec: StripSpec) -> ZzPolynomial:
     return form.evaluate(spec.n)
 
 
-def a_coefficients(spec: StripSpec, max_p: int | None = None) -> tuple[int, ...]:
+def a_coefficients(spec: StripSpec, max_p: int = DEFAULT_SUBSET_GUARD) -> tuple[int, ...]:
     """a(k) = number of Kekule structures with exactly k proper sextets,
     computed as the subposet sums of strict order polynomials."""
     poset = build_poset(spec)

@@ -13,6 +13,7 @@ from zzstrips import (
     generate_clar_covers,
     map_from_kekule,
     parse_strip,
+    validate,
     zz_from_covers,
 )
 from zzstrips.cli import catalog_shapes, main
@@ -92,6 +93,15 @@ class TestZzMode:
         single_code, single_out, _ = run_cli(capsys, "zz", "--shapes", "WNWN",
                                              "--length", "1")
         assert (single_code, single_out) == (2, "")
+
+    def test_positional_strip_with_n_range(self, capsys):
+        # WNWN is invalid at the strip's own n=1 but valid from n=2 on,
+        # where the range starts
+        positional = run_cli(capsys, "zz", "WNWN 1", "--n-range", "2..4")
+        by_shapes = run_cli(capsys, "zz", "--shapes", "WNWN", "--n-range", "2..4")
+        assert positional == by_shapes
+        assert positional[0] == 0
+        assert len(positional[1].splitlines()) == 3
 
     def test_parse_error_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "zz", "WXN 3")
@@ -260,6 +270,20 @@ class TestCatalogMode:
         rows = [json.loads(line) for line in out.splitlines()]
         para = next(r for r in rows if r["shapes"] == "WRN")
         assert para["zz"]["coeffs"] == [6, 6, 1]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_short_length_skips_invalid_families(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "catalog", "--tiers", "4", "--length", "1",
+                               "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            listed = [tuple(json.loads(line)["shapes"]) for line in out.splitlines()]
+        else:
+            listed = [tuple(line.split()[0]) for line in out.splitlines()]
+        families = catalog_shapes(4)
+        valid = [s for s in families if validate(StripSpec(s, 1)).is_valid]
+        assert listed == valid
+        assert len(valid) < len(families)
 
     def test_catalog_shapes_helper(self):
         shapes = catalog_shapes(3, dedup=False)

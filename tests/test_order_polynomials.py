@@ -172,17 +172,17 @@ class TestExtendedPolynomials:
                 lab = random_natural_labeling(poset, rng)
                 assert extended_poly_extension_formula(poset, lab, spec.n) == reference
 
-    def test_subset_guard(self, monkeypatch):
-        monkeypatch.setenv("ZZ_GUARD_P", "3")
+    def test_subset_guard(self):
         with pytest.raises(GuardExceeded):
-            extended_poly_subposet_sum(chain_poset(4), 2)
-        monkeypatch.delenv("ZZ_GUARD_P")
+            extended_poly_subposet_sum(chain_poset(4), 2, max_p=3)
         assert extended_poly_subposet_sum(chain_poset(4), 2)[0] == 1
 
-    def test_subset_guard_rejects_non_integer(self, monkeypatch):
-        monkeypatch.setenv("ZZ_GUARD_P", "abc")
-        with pytest.raises(ValueError, match=r"ZZ_GUARD_P='abc'"):
-            extended_poly_subposet_sum(chain_poset(2), 2)
+    def test_negative_n_rejected(self):
+        poset = build_poset(StripSpec(tuple("WWRNN"), 3))
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            closed_form(StripSpec(tuple("WWRNN"), 3)).evaluate(-1)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            extended_poly_extension_formula(poset, natural_labeling(poset), -1)
 
 
 class TestZzPolynomialOfStrip:

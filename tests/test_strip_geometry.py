@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,17 @@ class TestValidate:
         assert not report.is_valid
         assert not report.tiers_nonempty
         assert validate(StripSpec(tuple("WNWN"), 2)).is_valid
+
+    def test_validity_monotone_in_n(self):
+        # |i_k| = ord(i_k) + n: a strip valid at n stays valid at n + 1,
+        # and Kekulean-ness reads the orders alone, so one check at the
+        # first n of a range covers the whole range
+        for length in range(1, 6):
+            for shapes in itertools.product("WNRL", repeat=length):
+                reports = [validate(StripSpec(shapes, n)) for n in range(1, 8)]
+                for before, after in zip(reports, reports[1:]):
+                    assert after.is_valid or not before.is_valid, shapes
+                assert len({r.is_kekulean for r in reports}) == 1, shapes
 
 
 class TestFragments:
