@@ -5,20 +5,22 @@ closed-form, kekule, clar, oracle, catalog. Machine output is
 line-delimited JSON so enumeration modes can be stream-processed.
 
 Exit codes: 0 success, 1 oracle disagreement, 2 parse or validation
-failure, 3 guard violation.
+failure, 3 guard violation, 141 stdout closed early (128 + SIGPIPE, as
+a shell reports a process that SIGPIPE ended, e.g. under ``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
 from .dib_poset import build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
 from .extension_engine import iter_extension_records
-from .kekule_bijection import enumerate_kekule, generate_clar_covers
+from .kekule_bijection import BLOCK_BITS, enumerate_kekule, subset_blocks
 from .order_polynomials import ZzPolynomial, closed_form, zz_polynomial
 from .oracle import count_clar_covers, enumerate_perfect_matchings, zz_from_matchings
 from .strip_geometry import (
@@ -153,7 +155,21 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         config = _config_from_args(args)
-        return run(config)
+        code = run(config)
+        # a closed pipe can surface at the flush, so flush while it is caught
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone. Point stdout's descriptor at devnull so the
+        # interpreter's final flush does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass  # a stdout with no descriptor of its own
+        finally:
+            os.close(devnull)
+        return 141
     except (StripParseError, InvalidStripError, NonKekuleanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -164,10 +180,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def run(config: RunConfig) -> int:
     return MODES[config.mode](config)
-
-
-def _dib_json(d) -> dict:
-    return {"k": d.k, "j": d.j}
 
 
 def _run_profile(config: RunConfig) -> int:
@@ -289,32 +301,58 @@ def _run_closed_form(config: RunConfig) -> int:
     return 0
 
 
-def _structure_json(om, ka) -> str:
-    return json.dumps({
-        "A": [_dib_json(d) for d in om.elements],
-        "mu": list(om.values),
-        "pos": [[e.k, p] for e, p in zip(ka.elements, ka.positions)],
-    })
+def _kekule_templates(spec: StripSpec):
+    """Each Kekule structure with the %-template of its kekule line and
+    the {"k", "j"} fragments of A's members, in A's order.
+
+    mu's values followed by the positions fill the template. A line
+    equals json.dumps of the {"A", "mu", "pos"} dict, as an int prints
+    the same under %d. Each DIB's fragment is encoded once per request,
+    and the template and fragments once per subset A.
+    """
+    encoded = members = None
+    for om, ka in enumerate_kekule(spec):
+        if encoded is None:
+            encoded = {d: json.dumps({"k": d.k, "j": d.j}) for d in ka.elements}
+            pos = ", ".join(f"[{d.k}, %d]" for d in ka.elements)
+        if om.elements is not members:
+            members = om.elements
+            fragments = [encoded[d] for d in members]
+            template = (
+                '{"A": [' + ", ".join(fragments) + '], "mu": ['
+                + ", ".join(["%d"] * len(members)) + '], "pos": [' + pos + "]}"
+            )
+        yield om, ka, template, fragments
 
 
 def _run_kekule(config: RunConfig) -> int:
-    for om, ka in enumerate_kekule(config.spec):
-        print(_structure_json(om, ka))
+    write = sys.stdout.write
+    for om, ka, template, _ in _kekule_templates(config.spec):
+        write(template % (om.values + ka.positions) + "\n")
     return 0
 
 
+def _aromatic_tails(fragments: list[str]):
+    """Line endings of a structure's Clar covers, one list per block of
+    subset_blocks: the aromatic list's contents, then "]}\n"."""
+    for block in subset_blocks(fragments):
+        yield [", ".join(aromatic) + "]}\n" for aromatic in block]
+
+
 def _run_clar(config: RunConfig) -> int:
-    # The records of one Kekule structure arrive together and share its
-    # (A, mu), so that part of the line is encoded once per structure.
-    # Each line equals json.dumps of the four-key dict with "aromatic"
-    # last, whose list of {"k", "j"} dicts is written out directly.
-    om = prefix = None
-    for record in generate_clar_covers(config.spec):
-        if record.order_map is not om:
-            om = record.order_map
-            prefix = _structure_json(om, record.base)[:-1] + ', "aromatic": ['
-        aromatic = ", ".join([f'{{"k": {d.k}, "j": {d.j}}}' for d in record.aromatic])
-        print(prefix + aromatic + "]}")
+    # A Clar cover line is its structure's kekule line, less the closing
+    # brace, plus the aromatic list, which depends on A alone. So the
+    # endings are built once per A when they fit in one block, and each
+    # block of lines goes out in one write.
+    write = sys.stdout.write
+    last = cached = None
+    for om, ka, template, fragments in _kekule_templates(config.spec):
+        if fragments is not last:
+            last = fragments
+            cached = list(_aromatic_tails(fragments)) if len(fragments) <= BLOCK_BITS else None
+        prefix = template[:-1] % (om.values + ka.positions) + ', "aromatic": ['
+        for tails in cached or _aromatic_tails(fragments):
+            write(prefix + prefix.join(tails))
     return 0
 
 

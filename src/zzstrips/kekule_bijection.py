@@ -10,15 +10,25 @@ assignment by giving every other DIB the largest mu value found below
 it (0 if none). Both directions are implemented here, along with the
 full enumeration and the expansion of each structure into its Clar
 covers.
+
+The enumeration costs per structure, not per subset: a subset A whose
+longest chain has more than n elements admits no map into [n], and a
+chain-height table over all subsets, one byte each, lets it be skipped
+without trying. A structure stands for the 2^|A| Clar covers whose
+aromatic rings are the subsets of A; ``subset_blocks`` lists those
+subsets in ascending bitmask order, at most 2^BLOCK_BITS at a time, so
+a caller can write one block of covers at once in bounded memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence, TypeVar
 
-from .dib_poset import Dib, DibPoset, build_poset
+from .dib_poset import Dib, DibPoset, _bits, build_poset
 from .strip_geometry import StripSpec
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -172,42 +182,95 @@ def _strict_values(
         highs[t] = min((values[s] for s in upper[t]), default=n + 1) - 1
 
 
+def _chain_heights(below: tuple[int, ...], above: list[int]) -> bytearray:
+    """Longest-chain size of every subset, indexed by bitmask.
+
+    A longest chain of a mask either avoids its highest element top, or
+    runs through top and splits into a chain below top and one above it.
+    Heights never exceed p, so one byte per mask suffices."""
+    height = bytearray(1 << len(below))
+    for top, (lows, highs) in enumerate(zip(below, above)):
+        bit = 1 << top
+        for rest in range(bit):
+            height[bit | rest] = max(
+                height[rest], 1 + height[rest & lows] + height[rest & highs]
+            )
+    return height
+
+
 def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignment]]:
     """Every Kekule structure exactly once, as its (A, mu) pair plus the
     spread position assignment.
 
     Subsets A run in ascending bitmask order over the canonical DIB
-    order; maps run in lexicographic value order.
+    order; maps run in lexicographic value order. A subset whose longest
+    chain has more than n elements has no strictly order-preserving map
+    into [n] (its strict order polynomial vanishes there, Stanley, EC1
+    3.12), so a chain-height table over all masks, filled once, skips it
+    without trying. Each DIB spreads to the largest value among the
+    maximal members of A at or below it, found once per subset.
     """
     poset = build_poset(spec)
     elements = poset.elements
     p = poset.p
-    below_mask = poset.below_masks
-    # every DIB spreads to the largest value at or below it (0 if none)
-    spread_from = [
-        [t for t in range(p) if (lows | 1 << i) >> t & 1] for i, lows in enumerate(below_mask)
-    ]
+    below = poset.below_masks
+    above = [sum(1 << t for t in range(p) if below[t] >> i & 1) for i in range(p)]
+    height = _chain_heights(below, above)
     offsets = [e.j for e in elements]
     for mask in range(1 << p):
-        idx = [i for i in range(p) if mask >> i & 1]
+        if height[mask] > spec.n:
+            continue
+        idx = list(_bits(mask))
         members = tuple(elements[i] for i in idx)
-        lower = [[s for s in range(t) if below_mask[i] >> idx[s] & 1] for t, i in enumerate(idx)]
-        upper = [[s for s in range(t) if below_mask[idx[s]] >> i & 1] for t, i in enumerate(idx)]
-        chosen = [0] * p
+        lower = [[s for s in range(t) if below[i] >> idx[s] & 1] for t, i in enumerate(idx)]
+        upper = [[s for s in range(t) if below[idx[s]] >> i & 1] for t, i in enumerate(idx)]
+        # Each DIB reads its value from the slot of its one maximal member
+        # of A at or below it, or slot len(idx), which holds 0, if none;
+        # a DIB with several maximal ones takes the largest of their values.
+        spread_from, several = [], []
+        for i in range(p):
+            reach = (below[i] | 1 << i) & mask
+            tops = [s for s, t in enumerate(idx) if reach >> t & 1 and not above[t] & reach]
+            spread_from.append(tops[0] if tops else len(idx))
+            if len(tops) > 1:
+                several.append((i, tops))
         for values in _strict_values(lower, upper, spec.n):
-            for i, v in zip(idx, values):
-                chosen[i] = v
-            positions = tuple(
-                max([chosen[b] for b in spread_from[i]]) + offsets[i] for i in range(p)
-            )
+            padded = values + (0,)
+            positions = [padded[s] + j for s, j in zip(spread_from, offsets)]
+            for i, tops in several:
+                positions[i] = max([padded[s] for s in tops]) + offsets[i]
+            positions = tuple(positions)
             yield OrderMap(members, values), KekuleAssignment(elements, positions)
 
 
+# Subsets are doubled out over at most this many members at once, so a
+# block holds at most 2^BLOCK_BITS of them whatever the set's size.
+BLOCK_BITS = 8
+
+
+def subset_blocks(items: Sequence[T]) -> Iterator[list[tuple[T, ...]]]:
+    """Every subset of items as a tuple, in ascending bitmask order with
+    bit i standing for items[i], cut into blocks of at most
+    2^BLOCK_BITS subsets.
+
+    The subsets of the first BLOCK_BITS items are built by doubling:
+    each item appends itself to every subset so far. One block follows
+    per subset of the later items, in ascending mask order, each
+    appending it to every subset of the first ones."""
+    low: list[tuple[T, ...]] = [()]
+    for item in items[:BLOCK_BITS]:
+        low += [s + (item,) for s in low]
+    rest = items[BLOCK_BITS:]
+    yield low
+    for high in range(1, 1 << len(rest)):
+        tail = tuple(rest[t] for t in _bits(high))
+        yield [s + tail for s in low]
+
+
 def generate_clar_covers(spec: StripSpec) -> Iterator[ClarCoverRecord]:
-    """Expand each Kekule structure into its 2^|A| Clar covers."""
+    """Expand each Kekule structure into its 2^|A| Clar covers, the
+    aromatic sets in ascending bitmask order over A."""
     for om, ka in enumerate_kekule(spec):
-        for mask in range(1 << om.size):
-            aromatic = tuple(
-                om.elements[i] for i in range(om.size) if mask >> i & 1
-            )
-            yield ClarCoverRecord(ka, aromatic, om)
+        for block in subset_blocks(om.elements):
+            for aromatic in block:
+                yield ClarCoverRecord(ka, aromatic, om)

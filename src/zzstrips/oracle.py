@@ -94,11 +94,17 @@ def _matchings_avoiding(graph: BenzenoidGraph, removed: frozenset[int]) -> list[
     return out
 
 
-def _sextet_pattern(hexagon, mirrored: bool) -> tuple[Edge, Edge, Edge]:
-    nw, left, sw, se, right, ne = hexagon.edges
-    if mirrored:
-        return (left, ne, se)
-    return (right, nw, sw)
+def _sextet_patterns(graph: BenzenoidGraph, mirrored: bool) -> list[tuple[Edge, Edge, Edge]]:
+    """The three bonds of each hexagon's proper-sextet pattern."""
+    patterns = []
+    for hexagon in graph.hexagons:
+        nw, left, sw, se, right, ne = hexagon.edges
+        patterns.append((left, ne, se) if mirrored else (right, nw, sw))
+    return patterns
+
+
+def _count_patterns(patterns: list[tuple[Edge, Edge, Edge]], matching: Matching) -> int:
+    return sum(1 for a, b, c in patterns if a in matching and b in matching and c in matching)
 
 
 def count_proper_sextets(
@@ -113,11 +119,7 @@ def count_proper_sextets(
     other, so both give the same histogram and ZZ polynomial; only the
     per-matching count against |A| of the bijection tells them apart.
     """
-    count = 0
-    for hexagon in graph.hexagons:
-        if all(edge in matching for edge in _sextet_pattern(hexagon, mirrored)):
-            count += 1
-    return count
+    return _count_patterns(_sextet_patterns(graph, mirrored), matching)
 
 
 def _hexagon_conflicts(graph: BenzenoidGraph) -> list[set[int]]:
@@ -235,7 +237,8 @@ def zz_from_matchings(
         matchings = enumerate_perfect_matchings(graph)
     if not matchings:
         return ZzPolynomial.zero()
-    sextets = [count_proper_sextets(graph, m, mirrored=mirrored) for m in matchings]
+    patterns = _sextet_patterns(graph, mirrored)
+    sextets = [_count_patterns(patterns, m) for m in matchings]
     top = max(sextets)
     a = [0] * (top + 1)
     for s in sextets:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -10,6 +11,7 @@ from zzstrips import (
     build_poset,
     closed_form,
     enumerate_clar_covers,
+    enumerate_kekule,
     generate_clar_covers,
     map_from_kekule,
     parse_strip,
@@ -200,6 +202,22 @@ class TestEnumerationModes:
         assert orders == [0] * 6 + [1] * 6 + [2]
 
 
+class TestKekuleLineEncoding:
+    @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2"])
+    def test_lines_equal_json_dumps(self, capsys, text):
+        expected = [
+            json.dumps({
+                "A": [{"k": d.k, "j": d.j} for d in om.elements],
+                "mu": list(om.values),
+                "pos": [[e.k, p] for e, p in zip(ka.elements, ka.positions)],
+            })
+            for om, ka in enumerate_kekule(parse_strip(text))
+        ]
+        code, out, _ = run_cli(capsys, "kekule", text)
+        assert code == 0
+        assert out.splitlines() == expected
+
+
 class TestClarLineEncoding:
     @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2"])
     def test_lines_equal_json_dumps(self, capsys, text):
@@ -216,6 +234,16 @@ class TestClarLineEncoding:
         code, out, _ = run_cli(capsys, "clar", text)
         assert code == 0
         assert out.splitlines() == expected
+
+    def test_structures_split_into_blocks_write_the_same_lines(self, capsys, monkeypatch):
+        # with one-member blocks every structure with |A| > 1 takes the
+        # route that large domains take, writing several blocks
+        _, whole, _ = run_cli(capsys, "clar", "WWRNN 3")
+        monkeypatch.setattr("zzstrips.kekule_bijection.BLOCK_BITS", 1)
+        monkeypatch.setattr("zzstrips.cli.BLOCK_BITS", 1)
+        code, split, _ = run_cli(capsys, "clar", "WWRNN 3")
+        assert code == 0
+        assert split == whole
 
 
 class TestOracleMode:
@@ -298,6 +326,47 @@ class TestCatalogMode:
         assert tuple("WLN") in orbit
         # the flake is symmetric under rotation
         assert mirror_orbit(tuple("WWRNN")) == {tuple("WWRNN"), tuple("WWLNN")}
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises."""
+
+    def __init__(self, fd: int | None):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        if self.fd is None:
+            raise OSError("no descriptor")
+        return self.fd
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("mode", ["kekule", "clar", "extensions"])
+    def test_closed_stdout_exits_141_without_traceback(self, capsys, monkeypatch, mode):
+        monkeypatch.setattr("sys.stdout", ClosedPipe(None))
+        code = main([mode, "WRN 2"])
+        monkeypatch.undo()
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
+    def test_descriptor_is_pointed_at_devnull(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "out.txt"
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr("sys.stdout", ClosedPipe(fd))
+            assert main(["clar", "WRN 2"]) == 141
+            monkeypatch.undo()
+            # a later flush to the descriptor cannot fail or land anywhere
+            os.write(fd, b"late flush")
+        finally:
+            os.close(fd)
+        assert target.read_bytes() == b""
 
 
 class TestUsage:

@@ -18,10 +18,19 @@ from zzstrips import (
     zz_polynomial,
 )
 from zzstrips.extension_engine import descent_stats, linear_extensions
-from zzstrips.kekule_bijection import KekuleAssignment
+from zzstrips.kekule_bijection import (
+    BLOCK_BITS,
+    KekuleAssignment,
+    _chain_heights,
+    subset_blocks,
+)
 
 
 PARA = StripSpec(tuple("WRN"), 2)
+
+# m = 4 and 5 strips at n = 1, 2, where most subsets are taller than n
+# and the height table skips them
+PRUNED = [StripSpec(tuple(shapes), n) for shapes in ("WWRNN", "WWRRNN", "WWWNNN") for n in (1, 2)]
 
 
 class TestKekuleFromMap:
@@ -252,7 +261,7 @@ class TestEnumerationOrder:
         # within each subset A (ascending bitmask over the canonical DIB
         # order) the maps come in the lexicographic order of the
         # independent brute-force enumeration over the induced subposet
-        for spec in small_catalog:
+        for spec in [*small_catalog, *PRUNED]:
             poset = build_poset(spec)
             elements = poset.elements
             expected = []
@@ -263,6 +272,20 @@ class TestEnumerationOrder:
                     expected.append((members, tuple(m[e] for e in members)))
             got = [(om.elements, om.values) for om, _ in enumerate_kekule(spec)]
             assert got == expected, spec
+
+    @pytest.mark.parametrize("spec", PRUNED, ids=str)
+    def test_subsets_are_those_no_taller_than_n(self, spec):
+        # a strictly order-preserving map into [n] exists exactly when
+        # the longest chain has at most n elements
+        poset = build_poset(spec)
+        height = _heights(poset)
+        short = {
+            tuple(e for i, e in enumerate(poset.elements) if mask >> i & 1)
+            for mask in range(1 << poset.p)
+            if height[mask] <= spec.n
+        }
+        assert {om.elements for om, _ in enumerate_kekule(spec)} == short
+        assert len(short) < 1 << poset.p
 
     def test_assignment_is_spread_of_map(self, small_catalog):
         for spec in small_catalog:
@@ -277,3 +300,50 @@ class TestClarRecordOrderMap:
             poset = build_poset(spec)
             for rec in generate_clar_covers(spec):
                 assert rec.order_map == map_from_kekule(spec, rec.base, poset=poset)
+
+
+def _heights(poset):
+    p, below = poset.p, poset.below_masks
+    above = [sum(1 << t for t in range(p) if below[t] >> i & 1) for i in range(p)]
+    return _chain_heights(below, above)
+
+
+class TestChainHeights:
+    def test_heights_equal_longest_chains(self, small_catalog):
+        for spec in [*small_catalog[:20], *PRUNED]:
+            poset = build_poset(spec)
+            p, below = poset.p, poset.below_masks
+            height = _heights(poset)
+            for mask in range(1 << p):
+                # longest chain ending at each member, members taken in
+                # an order that lists every element after those below it
+                members = sorted(
+                    (i for i in range(p) if mask >> i & 1),
+                    key=lambda i: bin(below[i]).count("1"),
+                )
+                ending: dict[int, int] = {}
+                for i in members:
+                    ending[i] = 1 + max((ending[t] for t in ending if below[i] >> t & 1), default=0)
+                assert height[mask] == max(ending.values(), default=0), (spec, mask)
+
+
+class TestSubsetBlocks:
+    @pytest.mark.parametrize("size", [0, 1, 3, BLOCK_BITS, BLOCK_BITS + 3])
+    def test_blocks_list_subsets_in_ascending_mask_order(self, size):
+        items = [f"x{i}" for i in range(size)]
+        blocks = list(subset_blocks(items))
+        assert all(len(block) <= 1 << BLOCK_BITS for block in blocks)
+        flat = [subset for block in blocks for subset in block]
+        assert flat == [
+            tuple(items[i] for i in range(size) if mask >> i & 1) for mask in range(1 << size)
+        ]
+
+    def test_clar_records_follow_blocks(self):
+        spec = StripSpec(tuple("WWRNN"), 3)
+        records = list(generate_clar_covers(spec))
+        expected = [
+            (ka, tuple(om.elements[i] for i in range(om.size) if mask >> i & 1))
+            for om, ka in enumerate_kekule(spec)
+            for mask in range(1 << om.size)
+        ]
+        assert [(r.base, r.aromatic) for r in records] == expected
