@@ -1,8 +1,14 @@
 """Command-line front end.
 
 One subcommand per pipeline stage: profile, poset, extensions, zz,
-closed-form, kekule, clar, oracle, catalog. Machine output is
-line-delimited JSON so enumeration modes can be stream-processed.
+closed-form, kekule, clar, oracle, catalog. Each handler reads the
+parsed arguments itself. Every mode but catalog takes one strip, as
+positional text ("WRN 2", "M 2 2"), the first line of --file, or
+--shapes with --length. Text gives n itself, so --length goes with
+--shapes only; zz --n-range replaces the strip's n, and closed-form
+--shapes without --length prints the symbolic form alone. Machine
+output is line-delimited JSON so enumeration modes can be
+stream-processed.
 
 Exit codes: 0 success, 1 oracle disagreement, 2 parse or validation
 failure, 3 guard violation, 141 stdout closed early (128 + SIGPIPE, as
@@ -15,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .dib_poset import build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
@@ -31,18 +36,6 @@ from .strip_geometry import (
     parse_strip,
     validate,
 )
-
-
-@dataclass
-class RunConfig:
-    mode: str
-    spec: StripSpec | None = None
-    symbolic: bool = False
-    n_values: tuple[int, ...] = ()
-    fmt: str = "text"
-    tiers: int | None = None
-    max_vertices: int | None = None
-    dedup: bool = True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,74 +71,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_strip_text(args) -> str | None:
-    sources = [s for s in (args.strip, args.shapes, getattr(args, "file", None)) if s]
+def _read_strip_file(path: str) -> str:
+    try:
+        with open(path) as handle:
+            for line in handle:
+                line = line.strip()
+                if line:
+                    return line
+    except OSError as exc:
+        raise StripParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise StripParseError(f"cannot read {path}: {exc.reason}") from None
+    raise StripParseError(f"no strip description found in {path}")
+
+
+def _spec(args: argparse.Namespace, n: int | None = None) -> StripSpec:
+    """The strip of a strip mode, from positional text, --file, or
+    --shapes with --length. n is the mode's own default for a missing
+    --length, if it has one."""
+    sources = [s for s in (args.strip, args.shapes, args.file) if s]
     if len(sources) > 1:
         raise StripParseError("give the strip once: positional text, --shapes, or --file")
-    if args.strip:
-        return args.strip
-    if getattr(args, "file", None):
-        try:
-            with open(args.file) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        return line
-        except OSError as exc:
-            raise StripParseError(f"cannot read {args.file}: {exc.strerror or exc}") from None
-        except UnicodeDecodeError as exc:
-            raise StripParseError(f"cannot read {args.file}: {exc.reason}") from None
-        raise StripParseError(f"no strip description found in {args.file}")
-    return None
-
-
-def _config_from_args(args) -> RunConfig:
-    config = RunConfig(mode=args.mode, fmt=getattr(args, "fmt", "text"))
-    if args.mode == "catalog":
-        config.tiers = args.tiers
-        config.dedup = not args.no_dedup
+    if args.strip or args.file:
         if args.length is not None:
-            config.n_values = (args.length,)
-        return config
-
-    config.max_vertices = getattr(args, "max_vertices", None)
-
-    n_range = getattr(args, "n_range", None)
-    range_values: tuple[int, ...] | None = None
-    if n_range:
-        try:
-            lo, hi = n_range.split("..")
-            lo, hi = int(lo), int(hi)
-        except ValueError:
-            raise StripParseError(f"bad --n-range {n_range!r}, expected A..B") from None
-        if lo < 1 or hi < lo:
-            raise StripParseError(f"bad --n-range {n_range!r}")
-        range_values = tuple(range(lo, hi + 1))
-
-    text = _read_strip_text(args)
-    if text is not None:
-        config.spec = parse_strip(text)
-        config.n_values = (config.spec.n,)
-    elif args.shapes is not None:
-        shapes = tuple(args.shapes.upper())
-        if args.length is not None:
-            config.spec = StripSpec(shapes, args.length)
-            config.n_values = (args.length,)
-        elif range_values:
-            config.spec = StripSpec(shapes, range_values[0])
-        elif args.mode == "closed-form":
-            # poset and closed form do not depend on n; 2 keeps every
-            # Kekulean family geometrically realizable
-            config.spec = StripSpec(shapes, 2)
-            config.symbolic = True
-        else:
-            raise StripParseError("missing --length")
-    else:
+            raise StripParseError("--length goes with --shapes; strip text gives its own n")
+        return parse_strip(args.strip or _read_strip_file(args.file))
+    if args.shapes is None:
         raise StripParseError("no strip given")
-
-    if range_values:
-        config.n_values = range_values
-    return config
+    if args.length is not None:
+        n = args.length
+    elif n is None:
+        raise StripParseError("missing --length")
+    return StripSpec(tuple(args.shapes.upper()), n)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -154,8 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        code = run(config)
+        code = MODES[args.mode](args)
         # a closed pipe can surface at the flush, so flush while it is caught
         sys.stdout.flush()
         return code
@@ -178,15 +134,11 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def run(config: RunConfig) -> int:
-    return MODES[config.mode](config)
-
-
-def _run_profile(config: RunConfig) -> int:
-    spec = config.spec
+def _run_profile(args: argparse.Namespace) -> int:
+    spec = _spec(args)
     profile = interface_profile(spec)
     report = validate(spec)
-    if config.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps({
             "shapes": list(spec.shapes),
             "n": spec.n,
@@ -207,11 +159,11 @@ def _run_profile(config: RunConfig) -> int:
     return 0
 
 
-def _run_poset(config: RunConfig) -> int:
-    poset = build_poset(config.spec)
-    if config.fmt == "json":
+def _run_poset(args: argparse.Namespace) -> int:
+    poset = build_poset(_spec(args))
+    if args.fmt == "json":
         print(poset.to_json())
-    elif config.fmt == "dot":
+    elif args.fmt == "dot":
         print(poset.to_dot())
     else:
         print(f"p = {poset.p}")
@@ -227,11 +179,11 @@ def _word_str(word) -> str:
     return "".join(str(w) for w in word)
 
 
-def _run_extensions(config: RunConfig) -> int:
-    poset = build_poset(config.spec)
+def _run_extensions(args: argparse.Namespace) -> int:
+    poset = build_poset(_spec(args))
     labeling = natural_labeling(poset)
     for rec in iter_extension_records(poset, labeling):
-        if config.fmt == "json":
+        if args.fmt == "json":
             print(json.dumps({
                 "word": list(rec.word),
                 "des": rec.des,
@@ -258,46 +210,64 @@ def _zz_json(shapes: tuple[str, ...], n: int, zz: ZzPolynomial, cf_data: dict | 
     return json.dumps(data)
 
 
-def _run_zz(config: RunConfig) -> int:
-    shapes = config.spec.shapes
+def _run_zz(args: argparse.Namespace) -> int:
+    lo = None
+    if args.n_range:
+        try:
+            lo, hi = args.n_range.split("..")
+            lo, hi = int(lo), int(hi)
+        except ValueError:
+            raise StripParseError(f"bad --n-range {args.n_range!r}, expected A..B") from None
+        if lo < 1 or hi < lo:
+            raise StripParseError(f"bad --n-range {args.n_range!r}")
+        if args.length is not None:
+            raise StripParseError("give n once: --length or --n-range")
+    spec = _spec(args, lo)
+    n_values = (spec.n,) if lo is None else range(lo, hi + 1)
+    shapes = spec.shapes
     # One check at the first n covers the whole range: |i_k| = ord(i_k) + n,
     # so a strip valid at n stays valid at every larger n, and
     # Kekulean-ness depends on the orders alone. The DIB poset does not
     # depend on n either, so one closed form serves every n.
     try:
-        cf = closed_form(StripSpec(shapes, config.n_values[0]))
+        cf = closed_form(StripSpec(shapes, n_values[0]))
     except NonKekuleanError as exc:
         cf, warning = None, f"warning: {exc}"
     cf_data = None if cf is None else cf.to_dict()
-    for n in config.n_values:
+    for n in n_values:
         if cf is None:
             print(warning, file=sys.stderr)
             zz = ZzPolynomial.zero()
         else:
             zz = cf.evaluate(n)
-        if config.fmt == "json":
+        if args.fmt == "json":
             print(_zz_json(shapes, n, zz, cf_data))
-        elif config.fmt == "latex":
+        elif args.fmt == "latex":
             print(zz.to_latex())
         else:
             print(str(zz))
     return 0
 
 
-def _run_closed_form(config: RunConfig) -> int:
-    cf = closed_form(config.spec)
-    if config.fmt == "json":
-        data = {"shapes": list(config.spec.shapes), "closed_form": cf.to_dict()}
-        if not config.symbolic:
-            data["n"] = config.spec.n
-            data["zz"] = {"coeffs": list(cf.evaluate(config.spec.n).coeffs)}
+def _run_closed_form(args: argparse.Namespace) -> int:
+    # --shapes without --length asks for the form alone. The poset and
+    # the form do not depend on n, and n = 2 keeps every Kekulean family
+    # geometrically realizable.
+    spec = _spec(args, 2)
+    symbolic = args.length is None and not (args.strip or args.file)
+    cf = closed_form(spec)
+    if args.fmt == "json":
+        data = {"shapes": list(spec.shapes), "closed_form": cf.to_dict()}
+        if not symbolic:
+            data["n"] = spec.n
+            data["zz"] = {"coeffs": list(cf.evaluate(spec.n).coeffs)}
         print(json.dumps(data))
-    elif config.fmt == "latex":
+    elif args.fmt == "latex":
         print(cf.as_latex())
     else:
         print(cf.as_text())
-        if not config.symbolic:
-            print(f"n={config.spec.n}: {cf.evaluate(config.spec.n)}")
+        if not symbolic:
+            print(f"n={spec.n}: {cf.evaluate(spec.n)}")
     return 0
 
 
@@ -325,9 +295,9 @@ def _kekule_templates(spec: StripSpec):
         yield om, ka, template, fragments
 
 
-def _run_kekule(config: RunConfig) -> int:
+def _run_kekule(args: argparse.Namespace) -> int:
     write = sys.stdout.write
-    for om, ka, template, _ in _kekule_templates(config.spec):
+    for om, ka, template, _ in _kekule_templates(_spec(args)):
         write(template % (om.values + ka.positions) + "\n")
     return 0
 
@@ -339,14 +309,14 @@ def _aromatic_tails(fragments: list[str]):
         yield [", ".join(aromatic) + "]}\n" for aromatic in block]
 
 
-def _run_clar(config: RunConfig) -> int:
+def _run_clar(args: argparse.Namespace) -> int:
     # A Clar cover line is its structure's kekule line, less the closing
     # brace, plus the aromatic list, which depends on A alone. So the
     # endings are built once per A when they fit in one block, and each
     # block of lines goes out in one write.
     write = sys.stdout.write
     last = cached = None
-    for om, ka, template, fragments in _kekule_templates(config.spec):
+    for om, ka, template, fragments in _kekule_templates(_spec(args)):
         if fragments is not last:
             last = fragments
             cached = list(_aromatic_tails(fragments)) if len(fragments) <= BLOCK_BITS else None
@@ -356,15 +326,15 @@ def _run_clar(config: RunConfig) -> int:
     return 0
 
 
-def _run_oracle(config: RunConfig) -> int:
-    spec = config.spec
+def _run_oracle(args: argparse.Namespace) -> int:
+    spec = _spec(args)
     graph = build_graph(spec)
-    matchings = enumerate_perfect_matchings(graph, max_vertices=config.max_vertices)
+    matchings = enumerate_perfect_matchings(graph, max_vertices=args.max_vertices)
     zz_poset = zz_polynomial(spec)
     zz_covers = count_clar_covers(graph)
     zz_sextets = zz_from_matchings(graph, matchings)
     agree = zz_poset == zz_covers == zz_sextets
-    if config.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps({
             "shapes": list(spec.shapes),
             "n": spec.n,
@@ -387,31 +357,31 @@ def _run_oracle(config: RunConfig) -> int:
     return 0 if agree else 1
 
 
-def _run_catalog(config: RunConfig) -> int:
-    n = config.n_values[0] if config.n_values else 2
-    for shapes in catalog_shapes(config.tiers, dedup=config.dedup):
+def _run_catalog(args: argparse.Namespace) -> int:
+    n = 2 if args.length is None else args.length
+    for shapes in catalog_shapes(args.tiers, dedup=not args.no_dedup):
         # every family is Kekulean; a short --length can still leave a
         # tier without hexagons
         try:
             cf = closed_form(StripSpec(shapes, n))
         except InvalidStripError:
             continue
-        if config.fmt == "json":
+        if args.fmt == "json":
             data = {"shapes": "".join(shapes), "closed_form": cf.to_dict()}
-            if config.n_values:
+            if args.length is not None:
                 data["n"] = n
                 data["zz"] = {"coeffs": list(cf.evaluate(n).coeffs)}
             print(json.dumps(data))
         else:
             line = f"{''.join(shapes)}  p={cf.p}  {cf.as_text()}"
-            if config.n_values:
+            if args.length is not None:
                 line += f"  |  n={n}: {cf.evaluate(n)}"
             print(line)
     return 0
 
 
 # One handler per subcommand, in the order --help lists them; both the
-# parser and run() read this table.
+# parser and main() read this table.
 MODES = {
     "profile": _run_profile,
     "poset": _run_poset,

@@ -415,3 +415,97 @@ class TestUsage:
         assert run_cli(capsys, "zz", "--shapes", "WRN", "--length", "2") == first
         code, _, err = run_cli(capsys, "zz", "--shapes", "WRN")
         assert (code, err) == (2, "error: missing --length\n")
+
+
+class TestStripArguments:
+    @pytest.mark.parametrize("bad, message", [
+        ("x", "error: bad --n-range 'x', expected A..B\n"),
+        ("3..1", "error: bad --n-range '3..1'\n"),
+        ("0..2", "error: bad --n-range '0..2'\n"),
+    ])
+    def test_bad_n_range_exits_2(self, capsys, bad, message):
+        code, out, err = run_cli(capsys, "zz", "--shapes", "WN", "--n-range", bad)
+        assert (code, out, err) == (2, "", message)
+
+    def test_file_of_blank_lines_exits_2(self, capsys, tmp_path):
+        blank = tmp_path / "blank.txt"
+        blank.write_text("\n   \n\n")
+        code, out, err = run_cli(capsys, "zz", "--file", str(blank))
+        assert (code, out) == (2, "")
+        assert err == f"error: no strip description found in {blank}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("zz", "WRN 2", "--length", "3"),
+        ("closed-form", "WRN 2", "--length", "9"),
+        ("profile", "WRN 2", "--length", "2"),
+        ("zz", "--shapes", "WRN", "--length", "2", "--n-range", "3..3"),
+        ("zz", "WRN 2", "--length", "2", "--n-range", "3..4"),
+    ])
+    def test_second_n_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_length_with_file_exits_2(self, capsys, tmp_path):
+        strip_file = tmp_path / "strip.txt"
+        strip_file.write_text("WRN 2\n")
+        for mode in ("zz", "kekule"):
+            code, out, err = run_cli(capsys, mode, "--file", str(strip_file),
+                                     "--length", "5")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ")
+
+
+class TestTextFormats:
+    def test_closed_form_of_strip_text_ends_with_its_n(self, capsys):
+        code, out, _ = run_cli(capsys, "closed-form", "WWRNN 3")
+        assert code == 0
+        cf = closed_form(StripSpec(tuple("WWRNN"), 3))
+        assert out.splitlines() == [cf.as_text(), f"n=3: {cf.evaluate(3)}"]
+
+    def test_closed_form_latex(self, capsys):
+        code, out, _ = run_cli(capsys, "closed-form", "WWRNN 3", "--format", "latex")
+        assert code == 0
+        assert out == closed_form(StripSpec(tuple("WWRNN"), 3)).as_latex() + "\n"
+
+    def test_poset_text(self, capsys):
+        code, out, _ = run_cli(capsys, "poset", "WRN 2")
+        assert code == 0
+        assert out.splitlines() == ["p = 2", "elements: s(1,1), s(2,1)", "s(1,1) < s(2,1)"]
+
+    def test_extensions_word_past_label_9_is_spaced(self, capsys):
+        code, out, _ = run_cli(capsys, "extensions", "WRRRRRRRRRRN 1")
+        assert code == 0
+        assert out == "1 2 3 4 5 6 7 8 9 10 11 des=0 fix=0 descents={} fixed={}\n"
+
+    def test_profile_lists_problems(self, capsys):
+        code, out, _ = run_cli(capsys, "profile", "WNWN 1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-2] == "valid: no  kekulean: yes"
+        assert lines[-1] == "  - tier 2 has no hexagons (|i_2| = 1)"
+
+
+class TestOracleDisagreement:
+    @pytest.fixture(autouse=True)
+    def wrong_cover_route(self, monkeypatch):
+        monkeypatch.setattr("zzstrips.cli.count_clar_covers",
+                            lambda graph: ZzPolynomial((7, 6, 1)))
+
+    def test_text_exits_1(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "WRN 2")
+        assert code == 1
+        assert out.splitlines()[-4:] == [
+            "DIFF: MISMATCH",
+            "  poset:   (6, 6, 1)",
+            "  covers:  (7, 6, 1)",
+            "  sextets: (6, 6, 1)",
+        ]
+
+    def test_json_exits_1(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "WRN 2", "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["agree"] is False
+        assert data["covers"] == {"coeffs": [7, 6, 1]}
