@@ -27,7 +27,7 @@ from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripPar
 from .extension_engine import iter_extension_records
 from .kekule_bijection import BLOCK_BITS, enumerate_kekule, subset_blocks
 from .order_polynomials import ZzPolynomial, closed_form, zz_polynomial
-from .oracle import count_clar_covers, enumerate_perfect_matchings, zz_from_matchings
+from .oracle import _check_guard, count_clar_covers, count_sextet_matchings
 from .strip_geometry import (
     StripSpec,
     build_graph,
@@ -60,8 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-dedup", action="store_true",
                            help="keep mirror-image duplicates")
         if mode == "oracle":
-            p.add_argument("--max-vertices", type=int, default=None,
-                           help="override the brute-force vertex guard")
+            p.add_argument("--max-vertices", type=int,
+                           help="optional limit: exit 3 on a graph with more "
+                           "vertices (no limit by default)")
         choices = ["text", "json"]
         if mode in ("zz", "closed-form"):
             choices.append("latex")
@@ -329,10 +330,13 @@ def _run_clar(args: argparse.Namespace) -> int:
 def _run_oracle(args: argparse.Namespace) -> int:
     spec = _spec(args)
     graph = build_graph(spec)
-    matchings = enumerate_perfect_matchings(graph, max_vertices=args.max_vertices)
+    # both graph routes are DPs that need no guard; a given limit still
+    # ends the run before any output
+    if args.max_vertices is not None:
+        _check_guard(graph, args.max_vertices)
     zz_poset = zz_polynomial(spec)
     zz_covers = count_clar_covers(graph)
-    zz_sextets = zz_from_matchings(graph, matchings)
+    zz_sextets = count_sextet_matchings(graph)
     agree = zz_poset == zz_covers == zz_sextets
     if args.fmt == "json":
         print(json.dumps({
@@ -358,6 +362,8 @@ def _run_oracle(args: argparse.Namespace) -> int:
 
 
 def _run_catalog(args: argparse.Namespace) -> int:
+    if args.tiers < 1:
+        raise StripParseError(f"--tiers must be a positive integer, got {args.tiers}")
     n = 2 if args.length is None else args.length
     for shapes in catalog_shapes(args.tiers, dedup=not args.no_dedup):
         # every family is Kekulean; a short --length can still leave a

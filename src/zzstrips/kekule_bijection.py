@@ -31,6 +31,11 @@ from .strip_geometry import StripSpec
 T = TypeVar("T")
 
 
+def _check_canonical(elements: tuple[Dib, ...]) -> None:
+    if list(elements) != sorted(elements):
+        raise ValueError("elements must be in canonical (k, j) order")
+
+
 @dataclass(frozen=True)
 class OrderMap:
     """Subposet A plus a strictly order-preserving map A -> [n]."""
@@ -41,8 +46,16 @@ class OrderMap:
     def __post_init__(self) -> None:
         if len(self.elements) != len(self.values):
             raise ValueError("elements and values must align")
-        if list(self.elements) != sorted(self.elements):
-            raise ValueError("elements must be in canonical (k, j) order")
+        _check_canonical(self.elements)
+
+    @classmethod
+    def _unchecked(cls, elements: tuple[Dib, ...], values: tuple[int, ...]) -> OrderMap:
+        # For callers that checked elements once for many maps and built
+        # values to align: skips __post_init__, which would check again.
+        om = object.__new__(cls)
+        object.__setattr__(om, "elements", elements)
+        object.__setattr__(om, "values", values)
+        return om
 
     def value_of(self, element: Dib) -> int:
         return self.values[self.elements.index(element)]
@@ -208,7 +221,9 @@ def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignme
     into [n] (its strict order polynomial vanishes there, Stanley, EC1
     3.12), so a chain-height table over all masks, filled once, skips it
     without trying. Each DIB spreads to the largest value among the
-    maximal members of A at or below it, found once per subset.
+    maximal members of A at or below it, found once per subset. A's
+    canonical order is checked once per subset too, and its maps are
+    built without OrderMap's per-map check.
     """
     poset = build_poset(spec)
     elements = poset.elements
@@ -222,6 +237,7 @@ def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignme
             continue
         idx = list(_bits(mask))
         members = tuple(elements[i] for i in idx)
+        _check_canonical(members)
         lower = [[s for s in range(t) if below[i] >> idx[s] & 1] for t, i in enumerate(idx)]
         upper = [[s for s in range(t) if below[idx[s]] >> i & 1] for t, i in enumerate(idx)]
         # Each DIB reads its value from the slot of its one maximal member
@@ -240,7 +256,7 @@ def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignme
             for i, tops in several:
                 positions[i] = max([padded[s] for s in tops]) + offsets[i]
             positions = tuple(positions)
-            yield OrderMap(members, values), KekuleAssignment(elements, positions)
+            yield OrderMap._unchecked(members, values), KekuleAssignment(elements, positions)
 
 
 # Subsets are doubled out over at most this many members at once, so a

@@ -7,9 +7,11 @@ vertex-disjoint aromatic hexagons and matching the rest. The cover
 histogram comes from ``count_clar_covers``, a transfer-matrix DP over
 the vertices that counts the covers without building them and needs no
 vertex guard; ``enumerate_clar_covers`` still builds every cover, as the
-reference the DP is tested against. The sextet route still counts the
-proper sextets of each enumerated matching. The three ZZ routes (cover
-histogram, sextet histogram, poset engine) must agree.
+reference the DP is tested against. ``count_sextet_matchings`` counts
+the perfect matchings by proper sextets with the same sweep, and
+``zz_from_matchings`` reads the same histogram off enumerated matchings
+as its reference. The three ZZ routes (cover histogram, sextet
+histogram, poset engine) must agree.
 The mirrored sextet pattern is the ring's other Kekule configuration,
 so it reproduces all three aggregate routes on every strip; it breaks
 only the per-matching agreement with the bijection, where the sextet
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .dib_poset import Dib
 from .errors import GuardExceeded
@@ -177,18 +179,27 @@ def zz_from_covers(covers: Iterable[ExplicitClarCover]) -> ZzPolynomial:
     return ZzPolynomial.from_coeffs(counts)
 
 
-def _merge(layer: dict[int, list[int]], mask: int, counts: list[int]) -> None:
+def _merge(layer: dict, key: int | tuple[int, int], counts: list[int]) -> None:
     # Adds counts into the state's list in place; the caller hands over
     # a list no other state holds.
-    old = layer.get(mask)
+    old = layer.get(key)
     if old is None:
-        layer[mask] = counts
+        layer[key] = counts
         return
     if len(old) < len(counts):
-        layer[mask] = counts
+        layer[key] = counts
         old, counts = counts, old
     for k, c in enumerate(counts):
         old[k] += c
+
+
+def _bond_bits(graph: BenzenoidGraph) -> list[list[int]]:
+    # bit u - v of the covered mask at v for each bond (v, u) with u > v,
+    # in adjacency order
+    return [
+        [1 << (u - v) for u in graph.adjacency[v] if u > v]
+        for v in range(graph.num_vertices)
+    ]
 
 
 def count_clar_covers(graph: BenzenoidGraph) -> ZzPolynomial:
@@ -202,9 +213,7 @@ def count_clar_covers(graph: BenzenoidGraph) -> ZzPolynomial:
     is chosen there, so each cover is counted once. No guard applies.
     """
     size = graph.num_vertices
-    bonds = [
-        [1 << (u - v) for u in graph.adjacency[v] if u > v] for v in range(size)
-    ]
+    bonds = _bond_bits(graph)
     rings: list[list[int]] = [[] for _ in range(size)]
     for hexagon in graph.hexagons:
         low = min(hexagon.vertices)
@@ -227,27 +236,96 @@ def count_clar_covers(graph: BenzenoidGraph) -> ZzPolynomial:
     return ZzPolynomial.from_coeffs(states.get(0, ()))
 
 
+def count_sextet_matchings(graph: BenzenoidGraph, mirrored: bool = False) -> ZzPolynomial:
+    """Proper-sextet histogram a(k) of the perfect matchings, expanded
+    through (x + 1)^k, without building the matchings.
+
+    The sweep of ``count_clar_covers`` with bonds only: the bond (v, u)
+    is in the matching when v is uncovered at v and takes it, so a
+    hexagon's pattern is intact when each of its three bonds is taken at
+    its lower end. The state adds one bit per open hexagon whose pattern
+    can still be completed. It is set at the pattern's first lower end
+    if that bond is taken and the other four vertices are uncovered, and
+    cleared by any other bond into a pattern vertex. At the last lower
+    end a set bit that takes its bond shifts the counts by one sextet
+    and leaves the key. A bit leaves the key as soon as its pattern
+    breaks, not at its next lower end, so few states differ only in
+    their bits. No guard applies.
+    """
+    size = graph.num_vertices
+    # touch[w]: the hexagons with a pattern bond at w, all of which a
+    # bond into w breaks unless it is that pattern bond. roles[v]: per
+    # bond bit of v, the hexagon whose pattern bond it is, the mask bits
+    # of that pattern's later bonds, and whether v is its first and last
+    # lower end.
+    touch = [0] * size
+    roles: list[dict[int, tuple[int, int, bool, bool]]] = [{} for _ in range(size)]
+    for h, pattern in enumerate(_sextet_patterns(graph, mirrored)):
+        lows = sorted(pattern)
+        for i, (v, u) in enumerate(lows):
+            touch[v] |= 1 << h
+            touch[u] |= 1 << h
+            later = sum(1 << (w - v) for bond in lows[i + 1:] for w in bond)
+            roles[v][1 << (u - v)] = (1 << h, later, i == 0, i == len(lows) - 1)
+    no_role = (0, 0, False, False)
+    moves = [
+        [
+            (bit, touch[v] | touch[v + bit.bit_length() - 1], roles[v].get(bit, no_role))
+            for bit in bits
+        ]
+        for v, bits in enumerate(_bond_bits(graph))
+    ]
+
+    states: dict[tuple[int, int], list[int]] = {(0, 0): [1]}
+    for v in range(size):
+        layer: dict[tuple[int, int], list[int]] = {}
+        for (mask, intact), counts in states.items():
+            if mask & 1:
+                _merge(layer, (mask >> 1, intact), counts)
+                continue
+            for bit, breaks, (hexagon, later, first, last) in moves[v]:
+                if mask & bit:
+                    continue
+                after = mask | bit
+                kept = intact & ~breaks
+                if hexagon and (first or intact & hexagon) and not after & later:
+                    if last:
+                        _merge(layer, (after >> 1, kept), [0] + counts)
+                        continue
+                    kept |= hexagon
+                _merge(layer, (after >> 1, kept), counts[:])
+        states = layer
+    return _expand_sextets(states.get((0, 0), ()))
+
+
+def _expand_sextets(a: Sequence[int]) -> ZzPolynomial:
+    # sum_k a(k) (x + 1)^k: a structure with k proper sextets stands for
+    # the 2^k Clar covers that make any subset of them aromatic
+    coeffs = [0] * len(a)
+    for k, a_k in enumerate(a):
+        for i in range(k + 1):
+            coeffs[i] += a_k * math.comb(k, i)
+    return ZzPolynomial.from_coeffs(coeffs)
+
+
 def zz_from_matchings(
     graph: BenzenoidGraph,
     matchings: list[Matching] | None = None,
     mirrored: bool = False,
 ) -> ZzPolynomial:
-    """Proper-sextet histogram a(k), expanded through (x + 1)^k."""
+    """Proper-sextet histogram a(k) of enumerated matchings, expanded
+    through (x + 1)^k; the reference ``count_sextet_matchings`` is
+    tested against."""
     if matchings is None:
         matchings = enumerate_perfect_matchings(graph)
     if not matchings:
         return ZzPolynomial.zero()
     patterns = _sextet_patterns(graph, mirrored)
     sextets = [_count_patterns(patterns, m) for m in matchings]
-    top = max(sextets)
-    a = [0] * (top + 1)
+    a = [0] * (max(sextets) + 1)
     for s in sextets:
         a[s] += 1
-    coeffs = [0] * (top + 1)
-    for k, a_k in enumerate(a):
-        for i in range(k + 1):
-            coeffs[i] += a_k * math.comb(k, i)
-    return ZzPolynomial.from_coeffs(coeffs)
+    return _expand_sextets(a)
 
 
 def extract_ki(graph: BenzenoidGraph, matching: Matching) -> KekuleAssignment:

@@ -17,6 +17,7 @@ from zzstrips import (
     parse_strip,
     validate,
     zz_from_covers,
+    zz_polynomial,
 )
 from zzstrips.cli import catalog_shapes, main
 from zzstrips.strip_geometry import mirror_orbit
@@ -277,8 +278,24 @@ class TestOracleMode:
         assert err.startswith("guard exceeded:")
         assert out == ""
 
+    def test_no_guard_by_default(self, capsys):
+        # 94 vertices: past the old default guard of 60, which no route
+        # needs any more
+        code, out, err = run_cli(capsys, "oracle", "WWWWRNNNN 3", "--format", "json")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["agree"] is True
+        assert data["sextets"] == {"coeffs": list(zz_polynomial(parse_strip("WWWWRNNNN 3")).coeffs)}
+
 
 class TestCatalogMode:
+    @pytest.mark.parametrize("tiers", ["0", "-1"])
+    def test_tiers_below_one_exit_2(self, capsys, tiers):
+        code, out, err = run_cli(capsys, "catalog", "--tiers", tiers)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_tiers_2_contains_parallelogram(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "--tiers", "2")
         assert code == 0

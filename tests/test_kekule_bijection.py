@@ -66,6 +66,25 @@ class TestKekuleFromMap:
             kekule_from_map(PARA, OrderMap((Dib(1, 1),), (3,)))
 
 
+class TestOrderMapChecks:
+    def test_misaligned_values_rejected(self):
+        with pytest.raises(ValueError, match="align"):
+            OrderMap((Dib(1, 1), Dib(2, 1)), (1,))
+
+    def test_out_of_order_elements_rejected(self):
+        with pytest.raises(ValueError, match="canonical"):
+            OrderMap((Dib(2, 1), Dib(1, 1)), (1, 2))
+
+    def test_enumerated_maps_equal_checked_ones(self, small_catalog):
+        # enumerate_kekule checks each subset once and builds its maps
+        # without the per-map check; they must be the maps the checked
+        # constructor gives
+        for spec in small_catalog:
+            for om, _ in enumerate_kekule(spec):
+                checked = OrderMap(om.elements, om.values)
+                assert om == checked and hash(om) == hash(checked)
+
+
 class TestMapFromKekule:
     def test_all_leftmost_gives_empty_domain(self):
         poset = build_poset(PARA)

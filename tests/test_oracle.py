@@ -9,6 +9,7 @@ from zzstrips import (
     build_poset,
     count_clar_covers,
     count_proper_sextets,
+    count_sextet_matchings,
     enumerate_clar_covers,
     enumerate_kekule,
     enumerate_perfect_matchings,
@@ -18,8 +19,10 @@ from zzstrips import (
     zz_from_covers,
     zz_from_matchings,
     parse_strip,
+    validate,
     zz_polynomial,
 )
+from zzstrips.strip_geometry import catalog_shapes
 
 
 PARA = StripSpec(tuple("WRN"), 2)
@@ -166,6 +169,39 @@ class TestCountClarCovers:
     def test_non_kekulean_zero(self):
         graph = build_graph(StripSpec(tuple("WNNWWN"), 4))
         assert count_clar_covers(graph).is_zero
+
+
+class TestCountSextetMatchings:
+    def test_equals_enumeration_on_small_catalog(self, small_catalog):
+        for spec in small_catalog:
+            graph = build_graph(spec)
+            for mirrored in (False, True):
+                assert count_sextet_matchings(graph, mirrored=mirrored) == zz_from_matchings(
+                    graph, mirrored=mirrored
+                ), (spec, mirrored)
+
+    def test_three_routes_agree_up_to_seven_tiers(self):
+        # the 353 families with m <= 7, each at its first four valid n:
+        # 1,412 strips, 637 of them past the enumeration's 60 vertices
+        for shapes in catalog_shapes(7):
+            lengths = [n for n in range(1, 8) if validate(StripSpec(shapes, n)).is_valid][:4]
+            assert len(lengths) == 4, shapes
+            for n in lengths:
+                spec = StripSpec(shapes, n)
+                graph = build_graph(spec)
+                zz = zz_polynomial(spec)
+                assert count_sextet_matchings(graph) == zz, spec
+                assert count_clar_covers(graph) == zz, spec
+
+    def test_long_rows(self):
+        # a row of 200 hexagons: bits of broken patterns must leave the
+        # key at once, or the states grow with the square of the row
+        spec = parse_strip("WRN 200")
+        assert count_sextet_matchings(build_graph(spec)) == zz_polynomial(spec)
+
+    def test_non_kekulean_zero(self):
+        graph = build_graph(StripSpec(tuple("WNNWWN"), 4))
+        assert count_sextet_matchings(graph).is_zero
 
 
 class TestExtractKi:
