@@ -18,6 +18,7 @@ a shell reports a process that SIGPIPE ended, e.g. under ``| head``).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -200,17 +201,6 @@ def _run_extensions(args: argparse.Namespace) -> int:
     return 0
 
 
-def _zz_json(shapes: tuple[str, ...], n: int, zz: ZzPolynomial, cf_data: dict | None) -> str:
-    data = {
-        "shapes": list(shapes),
-        "n": n,
-        "zz": {"coeffs": list(zz.coeffs)},
-    }
-    if cf_data is not None:
-        data["closed_form"] = cf_data
-    return json.dumps(data)
-
-
 def _run_zz(args: argparse.Namespace) -> int:
     lo = None
     if args.n_range:
@@ -224,29 +214,35 @@ def _run_zz(args: argparse.Namespace) -> int:
         if args.length is not None:
             raise StripParseError("give n once: --length or --n-range")
     spec = _spec(args, lo)
-    n_values = (spec.n,) if lo is None else range(lo, hi + 1)
-    shapes = spec.shapes
+    if lo is None:
+        lo = hi = spec.n
     # One check at the first n covers the whole range: |i_k| = ord(i_k) + n,
     # so a strip valid at n stays valid at every larger n, and
     # Kekulean-ness depends on the orders alone. The DIB poset does not
     # depend on n either, so one closed form serves every n.
     try:
-        cf = closed_form(StripSpec(shapes, n_values[0]))
+        cf = closed_form(StripSpec(spec.shapes, lo))
     except NonKekuleanError as exc:
         cf, warning = None, f"warning: {exc}"
-    cf_data = None if cf is None else cf.to_dict()
-    for n in n_values:
+        polys = itertools.repeat(ZzPolynomial.zero())
+    else:
+        polys = cf.evaluate_range(lo, hi)
+    # A json line is json.dumps of {"shapes", "n", "zz", "closed_form"}
+    # (no "closed_form" for a non-Kekulean strip). Only n and the
+    # coefficients change with n, so the rest is encoded once.
+    if args.fmt == "json":
+        head = '{"shapes": ' + json.dumps(list(spec.shapes)) + ', "n": '
+        tail = "]}}\n" if cf is None else ']}, "closed_form": ' + cf.to_json() + "}\n"
+    for n, zz in zip(range(lo, hi + 1), polys):
         if cf is None:
             print(warning, file=sys.stderr)
-            zz = ZzPolynomial.zero()
-        else:
-            zz = cf.evaluate(n)
         if args.fmt == "json":
-            print(_zz_json(shapes, n, zz, cf_data))
+            coeffs = ", ".join(map(str, zz.coeffs))
+            sys.stdout.write(f'{head}{n}, "zz": {{"coeffs": [{coeffs}{tail}')
         elif args.fmt == "latex":
             print(zz.to_latex())
         else:
-            print(str(zz))
+            print(zz)
     return 0
 
 

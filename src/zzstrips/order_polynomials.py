@@ -14,7 +14,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from operator import add, sub
+from typing import Iterable, Iterator
 
 from .dib_poset import (
     DibPoset,
@@ -235,6 +236,35 @@ class ClosedForm:
 
     def evaluate(self, n: int) -> ZzPolynomial:
         return _substitute_one_plus_x(_group_sum(self.p, self.groups, n))
+
+    def evaluate_range(self, lo: int, hi: int) -> Iterator[ZzPolynomial]:
+        """evaluate(n) for n = lo..hi in turn; nothing when hi < lo.
+
+        Each x^i coefficient is a polynomial in n of degree <= p, so its
+        (p+1)-th difference vanishes. The first d + 1 values, with
+        d = min(p, hi - lo), come from evaluate; every later n costs
+        (p + 1) * d additions to their difference table.
+        """
+        if lo < 0:
+            raise ValueError("n must be nonnegative")
+        return self._stepped(lo, hi)
+
+    def _stepped(self, lo: int, hi: int) -> Iterator[ZzPolynomial]:
+        d = min(self.p, hi - lo)
+        # diffs[j]: j-th backward difference of the coefficient vector,
+        # padded to p + 1 entries, at the last n yielded
+        diffs: list[list[int]] = []
+        for n in range(lo, lo + d + 1):
+            zz = self.evaluate(n)
+            yield zz
+            row = list(zz.coeffs) + [0] * (self.p + 1 - len(zz.coeffs))
+            for j, prev in enumerate(diffs):
+                diffs[j], row = row, list(map(sub, row, prev))
+            diffs.append(row)
+        for _ in range(lo + d + 1, hi + 1):
+            for j in range(d - 1, -1, -1):
+                diffs[j] = list(map(add, diffs[j], diffs[j + 1]))
+            yield ZzPolynomial.from_coeffs(diffs[0])
 
     def _term_pieces(self, des: int, fix: int, mult: int, latex: bool) -> str:
         def c(top: str, bottom: str) -> str:

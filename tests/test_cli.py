@@ -112,6 +112,37 @@ class TestZzMode:
         code, _, _ = run_cli(capsys, "zz", "--shapes", "WRN")
         assert code == 2
 
+    @pytest.mark.parametrize("shapes", ["WN", "WRN", "WWRNN", "WLRN", "WRRRRRRRRN"])
+    def test_n_range_json_lines_equal_json_dumps(self, capsys, shapes):
+        # p runs from 1 to 9 over these families
+        code, out, err = run_cli(capsys, "zz", "--shapes", shapes, "--n-range", "1..30",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        cf = closed_form(StripSpec(tuple(shapes), 1))
+        expected = [
+            json.dumps({
+                "shapes": list(shapes),
+                "n": n,
+                "zz": {"coeffs": list(cf.evaluate(n).coeffs)},
+                "closed_form": cf.to_dict(),
+            })
+            for n in range(1, 31)
+        ]
+        assert out.splitlines() == expected
+
+    def test_n_range_json_non_kekulean(self, capsys):
+        code, out, err = run_cli(capsys, "zz", "--shapes", "WNNWWN", "--n-range", "4..6",
+                                 "--format", "json")
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [line["n"] for line in lines] == [4, 5, 6]
+        for line in lines:
+            assert "closed_form" not in line
+            assert line["zz"] == {"coeffs": []}
+        warnings = err.splitlines()
+        assert len(warnings) == 3
+        assert all(w.startswith("warning: ") for w in warnings)
+
 
 class TestProfileMode:
     def test_text(self, capsys):

@@ -1,7 +1,9 @@
+import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zzstrips import (
@@ -22,9 +24,17 @@ from zzstrips import (
     strict_order_poly,
     zz_polynomial,
 )
+from zzstrips.extension_engine import des_fix_counts
 from zzstrips.order_polynomials import ClosedForm
+from zzstrips.strip_geometry import catalog_shapes
 
-from conftest import antichain_poset, chain_poset, fence_poset, random_natural_labeling
+from conftest import (
+    all_strips,
+    antichain_poset,
+    chain_poset,
+    fence_poset,
+    random_natural_labeling,
+)
 
 
 class TestBinom:
@@ -273,3 +283,68 @@ class TestClosedForm:
     def test_json_round_trip(self):
         cf = closed_form(StripSpec(tuple("WWRNN"), 3))
         assert ClosedForm.from_json(cf.to_json()) == cf
+
+
+def _weak_maps(poset, n):
+    """Brute-force count of the weakly order-preserving maps into {1, .., n}."""
+    pairs = [(i, j) for i, a in enumerate(poset.elements)
+             for j, b in enumerate(poset.elements) if poset.less(a, b)]
+    return sum(
+        all(values[i] <= values[j] for i, j in pairs)
+        for values in itertools.product(range(1, n + 1), repeat=poset.p)
+    )
+
+
+_SMALL_STRIPS = all_strips(3, (1, 2, 3))
+
+
+@st.composite
+def _small_subposets(draw):
+    spec = draw(st.sampled_from(_SMALL_STRIPS))
+    poset = build_poset(spec)
+    members = draw(st.lists(st.sampled_from(poset.elements), unique=True, max_size=6))
+    return poset.subposet(members)
+
+
+class TestReciprocity:
+    """Stanley, EC1 3.15: the strict order polynomial at -n is (-1)^p
+    times the order polynomial at n, which counts weakly
+    order-preserving maps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_subposets(), st.integers(1, 4))
+    def test_strict_at_minus_n_counts_weak_maps(self, sub, n):
+        p = sub.p
+        des_mults = [(des, mult) for (des, _), mult
+                     in des_fix_counts(sub, natural_labeling(sub)).items()]
+        # the des-group sum of strict_order_poly, at n and continued to -n
+        # through C(-n + des, p) = (-1)^p C(n - des + p - 1, p)
+        assert sum(m * math.comb(n + d, p) for d, m in des_mults) == strict_order_poly(sub, n)
+        at_minus_n = sum(m * (-1) ** p * math.comb(n - d + p - 1, p) for d, m in des_mults)
+        assert (-1) ** p * at_minus_n == _weak_maps(sub, n)
+
+
+class TestEvaluateRange:
+    @pytest.mark.parametrize("shapes", catalog_shapes(6))
+    def test_equals_evaluate_on_catalog(self, shapes):
+        cf = closed_form(StripSpec(shapes, 2))
+        p = cf.p
+        for lo, hi in ((1, 1), (1, p), (2, 121), (10**6, 10**6 + p + 2)):
+            assert list(cf.evaluate_range(lo, hi)) == [
+                cf.evaluate(n) for n in range(lo, hi + 1)
+            ]
+
+    def test_empty_poset(self):
+        cf = ClosedForm(0, ((0, 0, 1),))
+        assert list(cf.evaluate_range(0, 4)) == [ZzPolynomial((1,))] * 5
+
+    def test_empty_range(self):
+        cf = closed_form(StripSpec(tuple("WWRNN"), 3))
+        assert list(cf.evaluate_range(5, 4)) == []
+
+    def test_negative_lo_rejected(self):
+        cf = closed_form(StripSpec(tuple("WWRNN"), 3))
+        with pytest.raises(ValueError):
+            cf.evaluate(-1)
+        with pytest.raises(ValueError):
+            cf.evaluate_range(-1, 3)
