@@ -12,12 +12,13 @@ full enumeration and the expansion of each structure into its Clar
 covers.
 
 The enumeration costs per structure, not per subset: a subset A whose
-longest chain has more than n elements admits no map into [n], and a
-chain-height table over all subsets, one byte each, lets it be skipped
-without trying. A structure stands for the 2^|A| Clar covers whose
-aromatic rings are the subsets of A; ``subset_blocks`` lists those
-subsets in ascending bitmask order, at most 2^BLOCK_BITS at a time, so
-a caller can write one block of covers at once in bounded memory.
+longest chain has more than n elements admits no map into [n], nor does
+any superset, so the walk over subsets cuts it off and visits only the
+subsets that have a map. A structure stands for the 2^|A| Clar covers
+whose aromatic rings are the subsets of A; ``subset_blocks`` lists
+those subsets in ascending bitmask order, at most 2^BLOCK_BITS at a
+time, so a caller can write one block of covers at once in bounded
+memory.
 """
 
 from __future__ import annotations
@@ -31,11 +32,6 @@ from .strip_geometry import StripSpec
 T = TypeVar("T")
 
 
-def _check_canonical(elements: tuple[Dib, ...]) -> None:
-    if list(elements) != sorted(elements):
-        raise ValueError("elements must be in canonical (k, j) order")
-
-
 @dataclass(frozen=True)
 class OrderMap:
     """Subposet A plus a strictly order-preserving map A -> [n]."""
@@ -46,12 +42,13 @@ class OrderMap:
     def __post_init__(self) -> None:
         if len(self.elements) != len(self.values):
             raise ValueError("elements and values must align")
-        _check_canonical(self.elements)
+        if list(self.elements) != sorted(self.elements):
+            raise ValueError("elements must be in canonical (k, j) order")
 
     @classmethod
     def _unchecked(cls, elements: tuple[Dib, ...], values: tuple[int, ...]) -> OrderMap:
-        # For callers that checked elements once for many maps and built
-        # values to align: skips __post_init__, which would check again.
+        # For callers whose elements are canonical by construction and
+        # whose values align: skips __post_init__'s checks.
         om = object.__new__(cls)
         object.__setattr__(om, "elements", elements)
         object.__setattr__(om, "values", values)
@@ -195,20 +192,31 @@ def _strict_values(
         highs[t] = min((values[s] for s in upper[t]), default=n + 1) - 1
 
 
-def _chain_heights(below: tuple[int, ...], above: list[int]) -> bytearray:
-    """Longest-chain size of every subset, indexed by bitmask.
+def _short_subsets(
+    below: Sequence[int], above: Sequence[int], n: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(indices, mask) of every subset whose longest chain has at most n
+    elements, in ascending mask order, indices ascending.
 
-    A longest chain of a mask either avoids its highest element top, or
-    runs through top and splits into a chain below top and one above it.
-    Heights never exceed p, so one byte per mask suffices."""
-    height = bytearray(1 << len(below))
-    for top, (lows, highs) in enumerate(zip(below, above)):
-        bit = 1 << top
-        for rest in range(bit):
-            height[bit | rest] = max(
-                height[rest], 1 + height[rest & lows] + height[rest & highs]
-            )
-    return height
+    The walk decides bits from the highest down, leaving each out before
+    putting it in, and keeps the height of every subset it has kept. A
+    longest chain of mask plus a new lowest bit t either avoids t or
+    splits at t into a chain below it and one above it, both within
+    subsets of mask that the walk has kept already. Height never drops
+    when a subset grows, so cutting off a taller one loses nothing."""
+    height = {0: 0}
+    stack = [(len(below), 0, ())]
+    while stack:
+        t, mask, idx = stack.pop()
+        if t == 0:
+            yield idx, mask
+            continue
+        t -= 1
+        tall = max(height[mask], 1 + height[mask & below[t]] + height[mask & above[t]])
+        if tall <= n:
+            height[mask | 1 << t] = tall
+            stack.append((t, mask | 1 << t, (t, *idx)))
+        stack.append((t, mask, idx))
 
 
 def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignment]]:
@@ -219,25 +227,20 @@ def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignme
     order; maps run in lexicographic value order. A subset whose longest
     chain has more than n elements has no strictly order-preserving map
     into [n] (its strict order polynomial vanishes there, Stanley, EC1
-    3.12), so a chain-height table over all masks, filled once, skips it
-    without trying. Each DIB spreads to the largest value among the
-    maximal members of A at or below it, found once per subset. A's
-    canonical order is checked once per subset too, and its maps are
-    built without OrderMap's per-map check.
+    3.12), so the walk over subsets never visits it or any superset.
+    Each DIB spreads to the largest value among the maximal members of A
+    at or below it, found once per subset. A lists DIBs in ascending
+    index, hence canonical, order, so its maps are built without
+    OrderMap's per-map check.
     """
     poset = build_poset(spec)
     elements = poset.elements
     p = poset.p
     below = poset.below_masks
     above = [sum(1 << t for t in range(p) if below[t] >> i & 1) for i in range(p)]
-    height = _chain_heights(below, above)
     offsets = [e.j for e in elements]
-    for mask in range(1 << p):
-        if height[mask] > spec.n:
-            continue
-        idx = list(_bits(mask))
+    for idx, mask in _short_subsets(below, above, spec.n):
         members = tuple(elements[i] for i in idx)
-        _check_canonical(members)
         lower = [[s for s in range(t) if below[i] >> idx[s] & 1] for t, i in enumerate(idx)]
         upper = [[s for s in range(t) if below[idx[s]] >> i & 1] for t, i in enumerate(idx)]
         # Each DIB reads its value from the slot of its one maximal member

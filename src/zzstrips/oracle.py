@@ -20,14 +20,13 @@ count of each matching must equal the size of its domain A.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .dib_poset import Dib
 from .errors import GuardExceeded
 from .kekule_bijection import KekuleAssignment
-from .order_polynomials import ZzPolynomial
+from .order_polynomials import ZzPolynomial, _substitute_one_plus_x
 from .strip_geometry import BenzenoidGraph, Edge
 
 MAX_ORACLE_VERTICES = 60
@@ -295,17 +294,7 @@ def count_sextet_matchings(graph: BenzenoidGraph, mirrored: bool = False) -> ZzP
                     kept |= hexagon
                 _merge(layer, (after >> 1, kept), counts[:])
         states = layer
-    return _expand_sextets(states.get((0, 0), ()))
-
-
-def _expand_sextets(a: Sequence[int]) -> ZzPolynomial:
-    # sum_k a(k) (x + 1)^k: a structure with k proper sextets stands for
-    # the 2^k Clar covers that make any subset of them aromatic
-    coeffs = [0] * len(a)
-    for k, a_k in enumerate(a):
-        for i in range(k + 1):
-            coeffs[i] += a_k * math.comb(k, i)
-    return ZzPolynomial.from_coeffs(coeffs)
+    return _substitute_one_plus_x(states.get((0, 0), ()))
 
 
 def zz_from_matchings(
@@ -325,7 +314,7 @@ def zz_from_matchings(
     a = [0] * (max(sextets) + 1)
     for s in sextets:
         a[s] += 1
-    return _expand_sextets(a)
+    return _substitute_one_plus_x(a)
 
 
 def extract_ki(graph: BenzenoidGraph, matching: Matching) -> KekuleAssignment:

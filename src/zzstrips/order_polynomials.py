@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .dib_poset import (
     DibPoset,
@@ -186,7 +186,7 @@ def _group_sum(p: int, groups: Iterable[tuple[int, int, int]], n: int) -> tuple[
     return tuple(coeffs)
 
 
-def _substitute_one_plus_x(zcoeffs: tuple[int, ...]) -> ZzPolynomial:
+def _substitute_one_plus_x(zcoeffs: Sequence[int]) -> ZzPolynomial:
     # z^k expands to sum_i C(k, i) x^i
     out = [0] * len(zcoeffs)
     for k, c in enumerate(zcoeffs):

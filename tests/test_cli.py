@@ -233,6 +233,12 @@ class TestEnumerationModes:
         orders = sorted(len(r["aromatic"]) for r in rows)
         assert orders == [0] * 6 + [1] * 6 + [2]
 
+    def test_kekule_p49_exits_0(self, capsys):
+        # 2^49 subsets of DIBs, 3,432 structures
+        code, out, err = run_cli(capsys, "kekule", "WWWWWWWNNNNNNN 1")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 3432
+
 
 class TestKekuleLineEncoding:
     @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2"])

@@ -186,6 +186,17 @@ class TestStreamingWalk:
             lab = natural_labeling(poset)
             assert des_fix_counts(poset, lab) == self.per_word_counts(poset, lab)
 
+    def test_records_equal_per_word_statistics(self, small_catalog):
+        rng = random.Random(5)
+        for spec in small_catalog:
+            poset = build_poset(spec)
+            labelings = [natural_labeling(poset)]
+            labelings += [random_natural_labeling(poset, rng) for _ in range(2)]
+            for lab in labelings:
+                for record in extension_records(poset, lab):
+                    assert record.fixed == fixed_labels(record.word, poset, lab)[0]
+                    assert record.descents == descent_stats(record.word)[0]
+
     def test_streamed_records_equal_list(self, small_catalog):
         for spec in small_catalog:
             poset = build_poset(spec)

@@ -21,7 +21,7 @@ from zzstrips.extension_engine import descent_stats, linear_extensions
 from zzstrips.kekule_bijection import (
     BLOCK_BITS,
     KekuleAssignment,
-    _chain_heights,
+    _short_subsets,
     subset_blocks,
 )
 
@@ -29,7 +29,7 @@ from zzstrips.kekule_bijection import (
 PARA = StripSpec(tuple("WRN"), 2)
 
 # m = 4 and 5 strips at n = 1, 2, where most subsets are taller than n
-# and the height table skips them
+# and the walk over subsets cuts them off
 PRUNED = [StripSpec(tuple(shapes), n) for shapes in ("WWRNN", "WWRRNN", "WWWNNN") for n in (1, 2)]
 
 
@@ -322,28 +322,45 @@ class TestClarRecordOrderMap:
 
 
 def _heights(poset):
+    """Longest-chain size of every subset, indexed by bitmask, counted
+    by brute force."""
     p, below = poset.p, poset.below_masks
-    above = [sum(1 << t for t in range(p) if below[t] >> i & 1) for i in range(p)]
-    return _chain_heights(below, above)
+    heights = []
+    for mask in range(1 << p):
+        # longest chain ending at each member, members taken in an order
+        # that lists every element after those below it
+        members = sorted(
+            (i for i in range(p) if mask >> i & 1),
+            key=lambda i: bin(below[i]).count("1"),
+        )
+        ending: dict[int, int] = {}
+        for i in members:
+            ending[i] = 1 + max((ending[t] for t in ending if below[i] >> t & 1), default=0)
+        heights.append(max(ending.values(), default=0))
+    return heights
 
 
-class TestChainHeights:
-    def test_heights_equal_longest_chains(self, small_catalog):
+class TestShortSubsets:
+    def test_walk_yields_the_subsets_no_taller_than_n(self, small_catalog):
         for spec in [*small_catalog[:20], *PRUNED]:
             poset = build_poset(spec)
             p, below = poset.p, poset.below_masks
+            above = [sum(1 << t for t in range(p) if below[t] >> i & 1) for i in range(p)]
             height = _heights(poset)
-            for mask in range(1 << p):
-                # longest chain ending at each member, members taken in
-                # an order that lists every element after those below it
-                members = sorted(
-                    (i for i in range(p) if mask >> i & 1),
-                    key=lambda i: bin(below[i]).count("1"),
-                )
-                ending: dict[int, int] = {}
-                for i in members:
-                    ending[i] = 1 + max((ending[t] for t in ending if below[i] >> t & 1), default=0)
-                assert height[mask] == max(ending.values(), default=0), (spec, mask)
+            for n in range(p + 2):
+                expected = [
+                    (tuple(i for i in range(p) if mask >> i & 1), mask)
+                    for mask in range(1 << p)
+                    if height[mask] <= n
+                ]
+                assert list(_short_subsets(below, above, n)) == expected, (spec, n)
+
+    @pytest.mark.parametrize("shapes,count", [("WWWWWNNNNN", 252), ("WWWWWWWNNNNNNN", 3432)])
+    def test_large_flakes_at_n_1(self, shapes, count):
+        # p = 25 and p = 49, with 2^p subsets to the ZZ(0) structures
+        # that zz_polynomial counts (in seconds at p = 49, so not here)
+        structures = {ka for _, ka in enumerate_kekule(StripSpec(tuple(shapes), 1))}
+        assert len(structures) == count
 
 
 class TestSubsetBlocks:
