@@ -324,6 +324,8 @@ def _run_clar(args: argparse.Namespace) -> int:
 
 
 def _run_oracle(args: argparse.Namespace) -> int:
+    if (args.max_vertices or 0) < 0:
+        raise StripParseError(f"--max-vertices must be nonnegative, got {args.max_vertices}")
     spec = _spec(args)
     graph = build_graph(spec)
     # both graph routes are DPs that need no guard; a given limit still
@@ -361,6 +363,7 @@ def _run_catalog(args: argparse.Namespace) -> int:
     if args.tiers < 1:
         raise StripParseError(f"--tiers must be a positive integer, got {args.tiers}")
     n = 2 if args.length is None else args.length
+    StripSpec(("W", "N"), n)  # a bad n fails now, not after a long listing
     for shapes in catalog_shapes(args.tiers, dedup=not args.no_dedup):
         # every family is Kekulean; a short --length can still leave a
         # tier without hexagons

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidStripError, NonKekuleanError
-from .strip_geometry import (
-    FIRST_BOND_LOWER,
-    StripSpec,
-    interface_profile,
-    validate,
-)
+from .strip_geometry import StripSpec, fragment_info, interface_profile, validate
 
 
 @dataclass(frozen=True, order=True)
@@ -167,15 +162,11 @@ def build_poset(spec: StripSpec) -> DibPoset:
     ]
 
     covers: list[tuple[Dib, Dib]] = []
-    for kappa in range(2, profile.m + 1):
-        upper, lower = kappa - 1, kappa
-        ord_u, ord_l = profile.order(upper), profile.order(lower)
-        if spec.shapes[kappa - 1] in FIRST_BOND_LOWER:
-            first, second = lower, upper
-            ord_first, ord_second = ord_l, ord_u
-        else:
-            first, second = upper, lower
-            ord_first, ord_second = ord_u, ord_l
+    # the end fragments touch one interface only, so they chain nothing
+    for fragment in fragment_info(spec)[1:-1]:
+        first = fragment.first_bond_interface
+        second = fragment.upper + fragment.lower - first
+        ord_first, ord_second = profile.order(first), profile.order(second)
         for j in range(1, min(ord_first, ord_second) + 1):
             covers.append((Dib(first, j), Dib(second, j)))
         for j in range(1, min(ord_second, ord_first - 1) + 1):

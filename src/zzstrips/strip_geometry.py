@@ -16,7 +16,6 @@ Adjacent tiers share the zigzag of vertices between them.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -229,28 +228,33 @@ def mirror_orbit(shapes: tuple[str, ...]) -> set[tuple[str, ...]]:
     return {shapes, lr, _rotate(shapes), _rotate(lr)}
 
 
-_LETTER_RANK = {"W": 0, "N": 1, "R": 2, "L": 3}
-
-
 def _canonical_shapes(shapes: tuple[str, ...]) -> tuple[str, ...]:
-    return min(mirror_orbit(shapes), key=lambda s: tuple(_LETTER_RANK[c] for c in s))
+    return min(mirror_orbit(shapes), key=lambda s: [SHAPE_LETTERS.index(c) for c in s])
 
 
 def catalog_shapes(max_tiers: int, dedup: bool = True) -> list[tuple[str, ...]]:
     """Shape sequences of every Kekulean strip family with at most
-    max_tiers tiers, optionally one representative per mirror orbit."""
-    out = []
-    for m in range(1, max_tiers + 1):
-        for interior in itertools.product(SHAPE_LETTERS, repeat=m - 1):
-            shapes = ("W",) + interior + ("N",)
-            spec = StripSpec(shapes, 2)
-            report = validate(spec)
-            if not (report.is_valid and report.is_kekulean):
-                continue
-            if dedup and shapes != _canonical_shapes(shapes):
-                continue
-            out.append(shapes)
-    return out
+    max_tiers tiers, optionally one representative per mirror orbit.
+
+    The order recursion decides membership: at n = 2 a sequence is valid
+    and Kekulean exactly when no order is negative and the bottom one is
+    1, so a prefix is dropped once its order cannot get back to 1.
+    """
+    found = []
+    stack = [((), 1)] if max_tiers >= 1 else []
+    while stack:
+        interior, order = stack.pop()
+        if order == 1:
+            found.append(("W",) + interior + ("N",))
+        left = max_tiers - 2 - len(interior)  # letters allowed after the next
+        for letter in reversed(SHAPE_LETTERS):
+            next_order = order + _SIZE_STEP[letter]
+            if 0 <= next_order and abs(next_order - 1) <= left:
+                stack.append((interior + (letter,), next_order))
+    found.sort(key=len)  # stable: each m stays in the walk's letter order
+    if dedup:
+        found = [shapes for shapes in found if shapes == _canonical_shapes(shapes)]
+    return found
 
 
 def tier_offsets(spec: StripSpec) -> tuple[int, ...]:

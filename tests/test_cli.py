@@ -324,6 +324,21 @@ class TestOracleMode:
         assert data["agree"] is True
         assert data["sextets"] == {"coeffs": list(zz_polynomial(parse_strip("WWWWRNNNN 3")).coeffs)}
 
+    def test_negative_limit_exits_2_before_the_graph(self, capsys, monkeypatch):
+        def no_graph(spec):
+            raise AssertionError("graph built before the limit was checked")
+
+        monkeypatch.setattr("zzstrips.cli.build_graph", no_graph)
+        code, out, err = run_cli(capsys, "oracle", "WRN 2", "--max-vertices", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_zero_limit_is_a_guard(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "WN 1", "--max-vertices", "0")
+        assert code == 3
+        assert out == "" and err.startswith("guard exceeded:")
+
 
 class TestCatalogMode:
     @pytest.mark.parametrize("tiers", ["0", "-1"])
@@ -332,6 +347,14 @@ class TestCatalogMode:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_bad_length_exits_2_before_the_listing(self, capsys):
+        # listing 14 tiers takes minutes, so this returns at once only
+        # when n is checked first
+        code, out, err = run_cli(capsys, "catalog", "--tiers", "14", "--length", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: strip length must be a positive integer, got 0\n"
 
     def test_tiers_2_contains_parallelogram(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "--tiers", "2")

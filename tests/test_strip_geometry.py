@@ -17,6 +17,7 @@ from zzstrips import (
     tier_offsets,
     validate,
 )
+from zzstrips.strip_geometry import SHAPE_LETTERS, _canonical_shapes, catalog_shapes
 
 from conftest import all_strips
 
@@ -201,3 +202,31 @@ def test_all_strips_helper_counts():
     # that keeps orders nonnegative and ends at order 1 appears for m <= 3
     specs = all_strips(2, (2,))
     assert {s.shapes for s in specs} == {("W", "N"), ("W", "R", "N"), ("W", "L", "N")}
+
+
+def _catalog_by_definition(max_tiers, dedup):
+    """Every letter sequence, kept when valid and Kekulean at n = 2."""
+    out = []
+    for m in range(1, max_tiers + 1):
+        for interior in itertools.product(SHAPE_LETTERS, repeat=m - 1):
+            shapes = ("W",) + interior + ("N",)
+            report = validate(StripSpec(shapes, 2))
+            if not (report.is_valid and report.is_kekulean):
+                continue
+            if dedup and shapes != _canonical_shapes(shapes):
+                continue
+            out.append(shapes)
+    return out
+
+
+class TestCatalogShapes:
+    @pytest.mark.parametrize("dedup", [True, False])
+    @pytest.mark.parametrize("max_tiers", range(0, 8))
+    def test_walk_equals_definition(self, max_tiers, dedup):
+        assert catalog_shapes(max_tiers, dedup) == _catalog_by_definition(max_tiers, dedup)
+
+    def test_family_counts_through_nine_tiers(self):
+        # cumulative counts of mirror-deduped families, m = 1..9
+        families = catalog_shapes(9)
+        counts = [sum(len(s) <= m + 1 for s in families) for m in range(1, 10)]
+        assert counts == [1, 2, 6, 13, 39, 107, 353, 1148, 4026]
