@@ -26,9 +26,9 @@ import sys
 from .dib_poset import build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
 from .extension_engine import iter_extension_records
-from .kekule_bijection import BLOCK_BITS, enumerate_kekule, subset_blocks
+from .kekule_bijection import BLOCK_BITS, kekule_groups, subset_blocks
 from .order_polynomials import ZzPolynomial, closed_form, zz_polynomial
-from .oracle import _check_guard, count_clar_covers, count_sextet_matchings
+from .oracle import count_clar_covers, count_sextet_matchings
 from .strip_geometry import (
     StripSpec,
     build_graph,
@@ -268,34 +268,32 @@ def _run_closed_form(args: argparse.Namespace) -> int:
     return 0
 
 
-def _kekule_templates(spec: StripSpec):
-    """Each Kekule structure with the %-template of its kekule line and
-    the {"k", "j"} fragments of A's members, in A's order.
+def _kekule_lines(spec: StripSpec):
+    """Per subset A, the {"k", "j"} fragments of A's members and A's
+    kekule lines, one per structure, without the newline.
 
-    mu's values followed by the positions fill the template. A line
-    equals json.dumps of the {"A", "mu", "pos"} dict, as an int prints
-    the same under %d. Each DIB's fragment is encoded once per request,
-    and the template and fragments once per subset A.
+    A line equals json.dumps of the {"A", "mu", "pos"} dict, as an int
+    prints the same under %d. Each DIB's fragment is encoded once per
+    request, and the line template once per subset A.
     """
-    encoded = members = None
-    for om, ka in enumerate_kekule(spec):
-        if encoded is None:
-            encoded = {d: json.dumps({"k": d.k, "j": d.j}) for d in ka.elements}
-            pos = ", ".join(f"[{d.k}, %d]" for d in ka.elements)
-        if om.elements is not members:
-            members = om.elements
-            fragments = [encoded[d] for d in members]
-            template = (
-                '{"A": [' + ", ".join(fragments) + '], "mu": ['
-                + ", ".join(["%d"] * len(members)) + '], "pos": [' + pos + "]}"
-            )
-        yield om, ka, template, fragments
+    poset = build_poset(spec)
+    encoded = {d: json.dumps({"k": d.k, "j": d.j}) for d in poset.elements}
+    pos = ", ".join(f"[{d.k}, %d]" for d in poset.elements)
+    for members, structures in kekule_groups(poset, spec.n):
+        fragments = [encoded[d] for d in members]
+        template = (
+            '{"A": [' + ", ".join(fragments) + '], "mu": ['
+            + ", ".join(["%d"] * len(members)) + '], "pos": [' + pos + "]}"
+        )
+        # template.__mod__ binds this group's template now, not the last one
+        yield fragments, map(template.__mod__, (v + p for v, p in structures))
 
 
 def _run_kekule(args: argparse.Namespace) -> int:
     write = sys.stdout.write
-    for om, ka, template, _ in _kekule_templates(_spec(args)):
-        write(template % (om.values + ka.positions) + "\n")
+    for _, lines in _kekule_lines(_spec(args)):
+        for line in lines:
+            write(line + "\n")
     return 0
 
 
@@ -312,14 +310,12 @@ def _run_clar(args: argparse.Namespace) -> int:
     # endings are built once per A when they fit in one block, and each
     # block of lines goes out in one write.
     write = sys.stdout.write
-    last = cached = None
-    for om, ka, template, fragments in _kekule_templates(_spec(args)):
-        if fragments is not last:
-            last = fragments
-            cached = list(_aromatic_tails(fragments)) if len(fragments) <= BLOCK_BITS else None
-        prefix = template[:-1] % (om.values + ka.positions) + ', "aromatic": ['
-        for tails in cached or _aromatic_tails(fragments):
-            write(prefix + prefix.join(tails))
+    for fragments, lines in _kekule_lines(_spec(args)):
+        cached = list(_aromatic_tails(fragments)) if len(fragments) <= BLOCK_BITS else None
+        for line in lines:
+            prefix = line[:-1] + ', "aromatic": ['
+            for tails in cached or _aromatic_tails(fragments):
+                write(prefix + prefix.join(tails))
     return 0
 
 
@@ -330,8 +326,10 @@ def _run_oracle(args: argparse.Namespace) -> int:
     graph = build_graph(spec)
     # both graph routes are DPs that need no guard; a given limit still
     # ends the run before any output
-    if args.max_vertices is not None:
-        _check_guard(graph, args.max_vertices)
+    if args.max_vertices is not None and graph.num_vertices > args.max_vertices:
+        raise GuardExceeded(
+            f"{graph.num_vertices} vertices exceed the oracle guard {args.max_vertices}"
+        )
     zz_poset = zz_polynomial(spec)
     zz_covers = count_clar_covers(graph)
     zz_sextets = count_sextet_matchings(graph)

@@ -11,14 +11,16 @@ it (0 if none). Both directions are implemented here, along with the
 full enumeration and the expansion of each structure into its Clar
 covers.
 
-The enumeration costs per structure, not per subset: a subset A whose
-longest chain has more than n elements admits no map into [n], nor does
-any superset, so the walk over subsets cuts it off and visits only the
-subsets that have a map. A structure stands for the 2^|A| Clar covers
-whose aromatic rings are the subsets of A; ``subset_blocks`` lists
-those subsets in ascending bitmask order, at most 2^BLOCK_BITS at a
-time, so a caller can write one block of covers at once in bounded
-memory.
+The enumeration follows that split: ``kekule_groups`` yields each
+subset A with the maps mu of A, and ``enumerate_kekule`` flattens it
+into (A, mu) pairs. It costs per structure, not per subset: a subset A
+whose longest chain has more than n elements admits no map into [n],
+nor does any superset, so the walk over subsets cuts it off and visits
+only the subsets that have a map. A structure stands for the 2^|A|
+Clar covers whose aromatic rings are the subsets of A;
+``subset_blocks`` lists those subsets in ascending bitmask order, at
+most 2^BLOCK_BITS at a time, so a caller can write one block of covers
+at once in bounded memory.
 """
 
 from __future__ import annotations
@@ -44,15 +46,6 @@ class OrderMap:
             raise ValueError("elements and values must align")
         if list(self.elements) != sorted(self.elements):
             raise ValueError("elements must be in canonical (k, j) order")
-
-    @classmethod
-    def _unchecked(cls, elements: tuple[Dib, ...], values: tuple[int, ...]) -> OrderMap:
-        # For callers whose elements are canonical by construction and
-        # whose values align: skips __post_init__'s checks.
-        om = object.__new__(cls)
-        object.__setattr__(om, "elements", elements)
-        object.__setattr__(om, "values", values)
-        return om
 
     def value_of(self, element: Dib) -> int:
         return self.values[self.elements.index(element)]
@@ -219,28 +212,29 @@ def _short_subsets(
         stack.append((t, mask, idx))
 
 
-def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignment]]:
-    """Every Kekule structure exactly once, as its (A, mu) pair plus the
-    spread position assignment.
+def kekule_groups(
+    poset: DibPoset, n: int
+) -> Iterator[tuple[tuple[Dib, ...], Iterator[tuple[tuple[int, ...], tuple[int, ...]]]]]:
+    """Every Kekule structure exactly once, grouped by its subset A: one
+    (members, structures) pair per A, structures iterating the
+    (values, positions) of A's maps mu and their spread assignments.
 
     Subsets A run in ascending bitmask order over the canonical DIB
-    order; maps run in lexicographic value order. A subset whose longest
-    chain has more than n elements has no strictly order-preserving map
-    into [n] (its strict order polynomial vanishes there, Stanley, EC1
-    3.12), so the walk over subsets never visits it or any superset.
-    Each DIB spreads to the largest value among the maximal members of A
-    at or below it, found once per subset. A lists DIBs in ascending
-    index, hence canonical, order, so its maps are built without
-    OrderMap's per-map check.
+    order, so members are canonical; maps run in lexicographic value
+    order. A subset whose longest chain has more than n elements has no
+    strictly order-preserving map into [n] (its strict order polynomial
+    vanishes there, Stanley, EC1 3.12), so the walk over subsets never
+    visits it or any superset, and every group holds at least one
+    structure. Each DIB spreads to the largest value among the maximal
+    members of A at or below it, found once per subset. A group's
+    structures stay valid after the walk moves on.
     """
-    poset = build_poset(spec)
     elements = poset.elements
     p = poset.p
     below = poset.below_masks
     above = [sum(1 << t for t in range(p) if below[t] >> i & 1) for i in range(p)]
     offsets = [e.j for e in elements]
-    for idx, mask in _short_subsets(below, above, spec.n):
-        members = tuple(elements[i] for i in idx)
+    for idx, mask in _short_subsets(below, above, n):
         lower = [[s for s in range(t) if below[i] >> idx[s] & 1] for t, i in enumerate(idx)]
         upper = [[s for s in range(t) if below[idx[s]] >> i & 1] for t, i in enumerate(idx)]
         # Each DIB reads its value from the slot of its one maximal member
@@ -253,13 +247,34 @@ def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignme
             spread_from.append(tops[0] if tops else len(idx))
             if len(tops) > 1:
                 several.append((i, tops))
-        for values in _strict_values(lower, upper, spec.n):
-            padded = values + (0,)
-            positions = [padded[s] + j for s, j in zip(spread_from, offsets)]
-            for i, tops in several:
-                positions[i] = max([padded[s] for s in tops]) + offsets[i]
-            positions = tuple(positions)
-            yield OrderMap._unchecked(members, values), KekuleAssignment(elements, positions)
+        members = tuple(elements[i] for i in idx)
+        yield members, _spread(_strict_values(lower, upper, n), spread_from, several, offsets)
+
+
+def _spread(
+    maps: Iterator[tuple[int, ...]],
+    spread_from: list[int],
+    several: list[tuple[int, list[int]]],
+    offsets: list[int],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each map's values with its spread positions: a DIB takes the
+    value in slot spread_from[i], or the largest of several slots, plus
+    its offset j."""
+    for values in maps:
+        padded = values + (0,)
+        positions = [padded[s] + j for s, j in zip(spread_from, offsets)]
+        for i, tops in several:
+            positions[i] = max([padded[s] for s in tops]) + offsets[i]
+        yield values, tuple(positions)
+
+
+def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignment]]:
+    """Every Kekule structure exactly once, as its (A, mu) pair plus the
+    spread position assignment, in the order of ``kekule_groups``."""
+    poset = build_poset(spec)
+    for members, structures in kekule_groups(poset, spec.n):
+        for values, positions in structures:
+            yield OrderMap(members, values), KekuleAssignment(poset.elements, positions)
 
 
 # Subsets are doubled out over at most this many members at once, so a

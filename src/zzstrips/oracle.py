@@ -5,13 +5,15 @@ nothing about posets: perfect matchings by exhaustive branching, proper
 sextets by direct pattern matching on hexagons, Clar covers by choosing
 vertex-disjoint aromatic hexagons and matching the rest. The cover
 histogram comes from ``count_clar_covers``, a transfer-matrix DP over
-the vertices that counts the covers without building them and needs no
-vertex guard; ``enumerate_clar_covers`` still builds every cover, as the
-reference the DP is tested against. ``count_sextet_matchings`` counts
-the perfect matchings by proper sextets with the same sweep, and
+the vertices that counts the covers without building them;
+``enumerate_clar_covers`` still builds every cover, as the reference
+the DP is tested against. ``count_sextet_matchings`` counts the perfect
+matchings by proper sextets with the same sweep, and
 ``zz_from_matchings`` reads the same histogram off enumerated matchings
 as its reference. The three ZZ routes (cover histogram, sextet
-histogram, poset engine) must agree.
+histogram, poset engine) must agree. The references list every
+matching or cover, so their cost grows with that count; they take no
+limit, and callers keep to graphs small enough to list.
 The mirrored sextet pattern is the ring's other Kekule configuration,
 so it reproduces all three aggregate routes on every strip; it breaks
 only the per-matching agreement with the bijection, where the sextet
@@ -24,12 +26,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .dib_poset import Dib
-from .errors import GuardExceeded
 from .kekule_bijection import KekuleAssignment
 from .order_polynomials import ZzPolynomial, _substitute_one_plus_x
 from .strip_geometry import BenzenoidGraph, Edge
-
-MAX_ORACLE_VERTICES = 60
 
 Matching = frozenset  # of Edge
 
@@ -47,19 +46,8 @@ class ExplicitClarCover:
         return len(self.hexagons)
 
 
-def _check_guard(graph: BenzenoidGraph, max_vertices: int | None) -> None:
-    limit = MAX_ORACLE_VERTICES if max_vertices is None else max_vertices
-    if graph.num_vertices > limit:
-        raise GuardExceeded(
-            f"{graph.num_vertices} vertices exceed the oracle guard {limit}"
-        )
-
-
-def enumerate_perfect_matchings(
-    graph: BenzenoidGraph, max_vertices: int | None = None
-) -> list[Matching]:
+def enumerate_perfect_matchings(graph: BenzenoidGraph) -> list[Matching]:
     """All perfect matchings, by branching on the lowest uncovered vertex."""
-    _check_guard(graph, max_vertices)
     return _matchings_avoiding(graph, frozenset())
 
 
@@ -134,12 +122,8 @@ def _hexagon_conflicts(graph: BenzenoidGraph) -> list[set[int]]:
     return conflicts
 
 
-def iter_clar_covers(
-    graph: BenzenoidGraph, max_vertices: int | None = None
-) -> Iterator[ExplicitClarCover]:
-    """The covers of ``enumerate_clar_covers``, streamed in the same
-    order. The guard is checked at the call, before the first cover."""
-    _check_guard(graph, max_vertices)
+def iter_clar_covers(graph: BenzenoidGraph) -> Iterator[ExplicitClarCover]:
+    """The covers of ``enumerate_clar_covers``, streamed in the same order."""
     conflicts = _hexagon_conflicts(graph)
     count = len(graph.hexagons)
     chosen: list[int] = []
@@ -159,12 +143,10 @@ def iter_clar_covers(
     return pick(0, set())
 
 
-def enumerate_clar_covers(
-    graph: BenzenoidGraph, max_vertices: int | None = None
-) -> list[ExplicitClarCover]:
+def enumerate_clar_covers(graph: BenzenoidGraph) -> list[ExplicitClarCover]:
     """Every Clar cover: each vertex-disjoint hexagon set, completed by
     every perfect matching of what remains."""
-    return list(iter_clar_covers(graph, max_vertices))
+    return list(iter_clar_covers(graph))
 
 
 def zz_from_covers(covers: Iterable[ExplicitClarCover]) -> ZzPolynomial:
@@ -209,7 +191,7 @@ def count_clar_covers(graph: BenzenoidGraph) -> ZzPolynomial:
     its value the cover counts by ring number. An uncovered v takes a
     bond to an uncovered neighbour u > v, or an uncovered ring whose
     lowest vertex is v; the piece covering the lowest uncovered vertex
-    is chosen there, so each cover is counted once. No guard applies.
+    is chosen there, so each cover is counted once.
     """
     size = graph.num_vertices
     bonds = _bond_bits(graph)
@@ -249,7 +231,7 @@ def count_sextet_matchings(graph: BenzenoidGraph, mirrored: bool = False) -> ZzP
     end a set bit that takes its bond shifts the counts by one sextet
     and leaves the key. A bit leaves the key as soon as its pattern
     breaks, not at its next lower end, so few states differ only in
-    their bits. No guard applies.
+    their bits.
     """
     size = graph.num_vertices
     # touch[w]: the hexagons with a pattern bond at w, all of which a

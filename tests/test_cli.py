@@ -339,6 +339,18 @@ class TestOracleMode:
         assert code == 3
         assert out == "" and err.startswith("guard exceeded:")
 
+    def test_limit_equal_to_vertex_count_passes(self, capsys):
+        # WWWRNNN 3 has exactly 66 vertices: the limit allows that many
+        code, out, _ = run_cli(capsys, "oracle", "WWWRNNN 3", "--max-vertices", "66",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["agree"] is True
+
+    def test_limit_one_below_vertex_count_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "WWWRNNN 3", "--max-vertices", "65")
+        assert code == 3
+        assert out == "" and err.startswith("guard exceeded:")
+
 
 class TestCatalogMode:
     @pytest.mark.parametrize("tiers", ["0", "-1"])

@@ -22,6 +22,7 @@ from zzstrips.kekule_bijection import (
     BLOCK_BITS,
     KekuleAssignment,
     _short_subsets,
+    kekule_groups,
     subset_blocks,
 )
 
@@ -311,6 +312,41 @@ class TestEnumerationOrder:
             poset = build_poset(spec)
             for om, ka in enumerate_kekule(spec):
                 assert ka == kekule_from_map(spec, om, poset=poset)
+
+
+class TestKekuleGroups:
+    def test_flattened_groups_equal_enumeration(self, small_catalog):
+        for spec in small_catalog:
+            flat = [
+                (members, values, positions)
+                for members, structures in kekule_groups(build_poset(spec), spec.n)
+                for values, positions in structures
+            ]
+            expected = [(om.elements, om.values, ka.positions) for om, ka in enumerate_kekule(spec)]
+            assert flat == expected, spec
+
+    def test_each_subset_once_in_ascending_mask_order(self, small_catalog):
+        for spec in small_catalog:
+            poset = build_poset(spec)
+            index = {e: i for i, e in enumerate(poset.elements)}
+            masks = [
+                sum(1 << index[e] for e in members)
+                for members, _ in kekule_groups(poset, spec.n)
+            ]
+            assert masks == sorted(set(masks)), spec
+
+    def test_groups_drain_after_the_walk_moves_on(self, small_catalog):
+        # every group collected first, drained afterwards: a group whose
+        # structures read state the walk has moved past gives other maps
+        for spec in small_catalog:
+            poset = build_poset(spec)
+            groups = list(kekule_groups(poset, spec.n))
+            late = [(members, list(structures)) for members, structures in groups]
+            eager = [
+                (members, list(structures))
+                for members, structures in kekule_groups(poset, spec.n)
+            ]
+            assert late == eager, spec
 
 
 class TestClarRecordOrderMap:

@@ -3,7 +3,6 @@ import sys
 import pytest
 
 from zzstrips import (
-    GuardExceeded,
     StripSpec,
     build_graph,
     build_poset,
@@ -50,10 +49,6 @@ class TestMatchings:
     def test_deterministic(self):
         graph = build_graph(PARA)
         assert enumerate_perfect_matchings(graph) == enumerate_perfect_matchings(graph)
-
-    def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            enumerate_perfect_matchings(build_graph(PARA), max_vertices=10)
 
 
 class TestProperSextets:
@@ -290,7 +285,3 @@ class TestStreamingOracle:
             covers = enumerate_clar_covers(graph)
             assert zz_from_covers(c for c in covers) == zz_from_covers(covers)
         assert zz_from_covers(iter(())).is_zero
-
-    def test_stream_guard_raises_at_call(self):
-        with pytest.raises(GuardExceeded):
-            iter_clar_covers(build_graph(PARA), max_vertices=5)
