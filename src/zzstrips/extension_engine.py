@@ -14,6 +14,7 @@ for listing the extensions themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -136,8 +137,8 @@ def des_fix_counts(poset: DibPoset, labeling: NaturalLabeling) -> dict[tuple[int
     their state place their remaining labels alike, so they merge and
     keep a count per (des, fix-so-far). Labels are indices label - 1.
     The state is:
-      - the placed set and the free set (labels whose lower covers are
-        all placed);
+      - the placed set (the free labels, whose lower covers are all
+        placed, follow from it and are kept once per placed set);
       - the last label, and whether a label larger than it was placed
         after its last lower cover;
       - that flag for each free label, as a bitmask.
@@ -148,38 +149,65 @@ def des_fix_counts(poset: DibPoset, labeling: NaturalLabeling) -> dict[tuple[int
     case of its own: under a natural labeling `last` is not below y, so
     it set y's flag when it was placed. The last label is settled by
     its flag alone. Merged states never outnumber the walk's prefixes.
+
+    A state's counts are packed into one int (Kronecker substitution):
+    the count of (des, fix) sits in slot (p + 1) * des + fix, slot s
+    being bits W * s .. W * s + W - 1, since fix <= p. A step shifts
+    the int by 0, by W when it fixes `last` (one slot up), or by
+    W * (p + 2) when it descends (a descent also fixes `last`), and a
+    merge is one addition. W is the bit length of p!, so 2^W > p!, and
+    no slot carries into the next: a slot of a state at depth d counts
+    prefixes of length d, at most p!/(p - d)! <= p!, and a slot of the
+    result counts extensions, at most p!.
     """
     lower, upper = _cover_lists(poset, labeling)
+    p = poset.p
     needs = [sum(1 << a for a in below) for below in lower]
-    minimal = sum(1 << x for x in range(poset.p) if not needs[x])
+    width = math.factorial(p).bit_length()
+    des_shift = width * (p + 2)
+    free_of = {0: sum(1 << x for x in range(p) if not needs[x])}
+    # per placed set, one move per free label y: y, the placed set after
+    # it, the flags it sets, and the mask that clears its own flag
+    moves_of: dict[int, list[tuple[int, int, int, int]]] = {}
     # last = -1 stands for the empty prefix: every label ascends from it
-    layer = {(0, minimal, -1, 0, 0): {(0, 0): 1}}
-    for _ in range(poset.p):
-        nxt: dict[tuple[int, int, int, int, int], dict[tuple[int, int], int]] = {}
-        for (placed, free, last, last_flag, flags), counts in layer.items():
-            todo = free
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                y = bit.bit_length() - 1
-                step_des = last > y
-                step_fix = step_des or last_flag
-                now_placed = placed | bit
-                now_free = free ^ bit
-                for z in upper[y]:
-                    if needs[z] & now_placed == needs[z]:
-                        now_free |= 1 << z
-                now_flags = (flags | free & (bit - 1)) & ~bit
-                into = nxt.setdefault((now_placed, now_free, y, flags >> y & 1, now_flags), {})
-                for (des, fix), mult in counts.items():
-                    key = (des + step_des, fix + step_fix)
-                    into[key] = into.get(key, 0) + mult
+    layer = {(0, -1, 0, 0): 1}
+    for _ in range(p):
+        nxt: dict[tuple[int, int, int, int], int] = {}
+        get = nxt.get
+        for (placed, last, last_flag, flags), packed in layer.items():
+            moves = moves_of.get(placed)
+            if moves is None:
+                free = free_of[placed]
+                moves = moves_of[placed] = []
+                todo = free
+                while todo:
+                    bit = todo & -todo
+                    todo ^= bit
+                    y = bit.bit_length() - 1
+                    now_placed = placed | bit
+                    if now_placed not in free_of:
+                        now_free = free ^ bit
+                        for z in upper[y]:
+                            if needs[z] & now_placed == needs[z]:
+                                now_free |= 1 << z
+                        free_of[now_placed] = now_free
+                    moves.append((y, now_placed, free & (bit - 1), ~bit))
+            ascent = packed << width if last_flag else packed
+            for y, now_placed, smaller, clear in moves:
+                key = (now_placed, y, flags >> y & 1, (flags | smaller) & clear)
+                nxt[key] = get(key, 0) + (packed << des_shift if last > y else ascent)
         layer = nxt
+    total = 0
+    for (_, _, last_flag, _), packed in layer.items():
+        total += packed << width if last_flag else packed
     out: dict[tuple[int, int], int] = {}
-    for (_, _, _, last_flag, _), counts in layer.items():
-        for (des, fix), mult in counts.items():
-            key = (des, fix + last_flag)
-            out[key] = out.get(key, 0) + mult
+    mask = (1 << width) - 1
+    slot = 0
+    while total:
+        if total & mask:
+            out[divmod(slot, p + 1)] = total & mask
+        total >>= width
+        slot += 1
     return out
 
 

@@ -213,23 +213,29 @@ def validate(spec: StripSpec) -> ValidationReport:
     )
 
 
-def _mirror_lr(shapes: tuple[str, ...]) -> tuple[str, ...]:
-    swap = {"R": "L", "L": "R"}
-    return tuple(swap.get(s, s) for s in shapes)
+# shapes as strings of letter ranks, so that comparing rank strings
+# compares by rank, and the two mirrors acting on such strings
+_TO_RANKS = str.maketrans("".join(SHAPE_LETTERS), "0123")
+_FROM_RANKS = str.maketrans("0123", "".join(SHAPE_LETTERS))
+_SWAP_RL = str.maketrans("RL".translate(_TO_RANKS), "LR".translate(_TO_RANKS))
+_SWAP_WN = str.maketrans("WN".translate(_TO_RANKS), "NW".translate(_TO_RANKS))
 
 
-def _rotate(shapes: tuple[str, ...]) -> tuple[str, ...]:
-    swap = {"W": "N", "N": "W"}
-    return tuple(swap.get(s, s) for s in reversed(shapes))
+def _rank_orbit(shapes: tuple[str, ...]) -> tuple[str, str, str, str]:
+    """Rank strings of the shapes, their left-right mirror, and the two
+    turned upside down (read backwards with W and N swapped)."""
+    ranks = "".join(shapes).translate(_TO_RANKS)
+    lr = ranks.translate(_SWAP_RL)
+    return ranks, lr, ranks[::-1].translate(_SWAP_WN), lr[::-1].translate(_SWAP_WN)
 
 
 def mirror_orbit(shapes: tuple[str, ...]) -> set[tuple[str, ...]]:
-    lr = _mirror_lr(shapes)
-    return {shapes, lr, _rotate(shapes), _rotate(lr)}
+    return {tuple(ranks.translate(_FROM_RANKS)) for ranks in _rank_orbit(shapes)}
 
 
 def _canonical_shapes(shapes: tuple[str, ...]) -> tuple[str, ...]:
-    return min(mirror_orbit(shapes), key=lambda s: [SHAPE_LETTERS.index(c) for c in s])
+    """The member of the mirror orbit that is least by letter rank."""
+    return tuple(min(_rank_orbit(shapes)).translate(_FROM_RANKS))
 
 
 def catalog_shapes(max_tiers: int, dedup: bool = True) -> list[tuple[str, ...]]:

@@ -271,3 +271,55 @@ class TestOrderIdealDp:
         tally = walk_tally(poset, natural_labeling(poset))
         assert sum(tally.values()) == 87_516
         assert closed_form(spec).groups == tuple((d, f, tally[(d, f)]) for d, f in sorted(tally))
+
+
+def eulerian_numbers(p):
+    """A(p, d), the permutations of p letters with d descents, by the
+    recurrence A(n, d) = (d + 1) A(n - 1, d) + (n - d) A(n - 1, d - 1)."""
+    row = [1]
+    for n in range(1, p + 1):
+        row = [
+            (d + 1) * (row[d] if d < len(row) else 0) + (n - d) * (row[d - 1] if d else 0)
+            for d in range(n)
+        ]
+    return row
+
+
+def ideal_chain_count(poset):
+    """Extensions counted as maximal chains of order ideals, one layer of
+    ideals (bitmasks) at a time, with no (des, fix) bookkeeping."""
+    layer = {0: 1}
+    for _ in range(poset.p):
+        nxt = {}
+        for ideal, count in layer.items():
+            for i, below in enumerate(poset.below_masks):
+                if not ideal >> i & 1 and below & ideal == below:
+                    nxt[ideal | 1 << i] = nxt.get(ideal | 1 << i, 0) + count
+        layer = nxt
+    return sum(layer.values())
+
+
+class TestPackedCounts:
+    """des_fix_counts packs each state's counts into one int; a slot too
+    narrow for its count would carry into its neighbour."""
+
+    @pytest.mark.parametrize("p", range(0, 11))
+    def test_antichain_des_sums_are_eulerian(self, p):
+        # every permutation is an extension; at p = 10 the largest single
+        # (des, fix) count is 607,009, beyond 16 bits
+        poset = antichain_poset(p)
+        counts = des_fix_counts(poset, natural_labeling(poset))
+        by_des = Counter()
+        for (des, _), mult in counts.items():
+            assert mult > 0
+            by_des[des] += mult
+        assert [by_des[d] for d in range(max(p, 1))] == eulerian_numbers(p)
+        assert sum(counts.values()) == math.factorial(p)
+
+    def test_p30_count_beyond_32_bits(self):
+        spec = parse_strip("WWWWWRNNNNN 3")
+        expected = ideal_chain_count(build_poset(spec))
+        assert expected == 396_499_770_810 > 2**32
+        form = closed_form(spec)
+        assert form.p == 30
+        assert form.extension_count == expected

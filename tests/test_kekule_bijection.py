@@ -394,7 +394,7 @@ class TestShortSubsets:
     @pytest.mark.parametrize("shapes,count", [("WWWWWNNNNN", 252), ("WWWWWWWNNNNNNN", 3432)])
     def test_large_flakes_at_n_1(self, shapes, count):
         # p = 25 and p = 49, with 2^p subsets to the ZZ(0) structures
-        # that zz_polynomial counts (in seconds at p = 49, so not here)
+        # that zz_polynomial counts (about 2 s at p = 49, so not here)
         structures = {ka for _, ka in enumerate_kekule(StripSpec(tuple(shapes), 1))}
         assert len(structures) == count
 

@@ -225,6 +225,19 @@ class TestCatalogShapes:
     def test_walk_equals_definition(self, max_tiers, dedup):
         assert catalog_shapes(max_tiers, dedup) == _catalog_by_definition(max_tiers, dedup)
 
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_canonical_is_least_orbit_member_by_rank(self, length):
+        # the orbit spelled out letter by letter: left-right mirror swaps
+        # R and L, upside down reverses and swaps W and N
+        lr = {"R": "L", "L": "R"}
+        wn = {"W": "N", "N": "W"}
+        for shapes in itertools.product(SHAPE_LETTERS, repeat=length):
+            mirrored = tuple(lr.get(c, c) for c in shapes)
+            orbit = [shapes, mirrored]
+            orbit += [tuple(wn.get(c, c) for c in reversed(s)) for s in orbit]
+            least = min(orbit, key=lambda s: [SHAPE_LETTERS.index(c) for c in s])
+            assert _canonical_shapes(shapes) == least
+
     def test_family_counts_through_nine_tiers(self):
         # cumulative counts of mirror-deduped families, m = 1..9
         families = catalog_shapes(9)
