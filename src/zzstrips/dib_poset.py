@@ -12,16 +12,18 @@ per element, bit t standing for the t-th element in (k, j) order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidStripError, NonKekuleanError
 from .strip_geometry import StripSpec, fragment_info, interface_profile, validate
 
 
-@dataclass(frozen=True, order=True)
-class Dib:
-    """Double interface bond s(k, j): interface k, left-to-right rank j."""
+class Dib(NamedTuple):
+    """Double interface bond s(k, j): interface k, left-to-right rank j.
+
+    A named tuple, so it sorts by (k, j) and equals and hashes like the
+    plain tuple (k, j). No code here mixes the two or tests the type of
+    a Dib."""
 
     k: int
     j: int
@@ -125,7 +127,12 @@ class DibPoset:
     def from_json(cls, text: str) -> "DibPoset":
         data = json.loads(text)
         elements = [Dib(int(d["k"]), int(d["j"])) for d in data["elements"]]
-        covers = [(elements[a], elements[b]) for a, b in data["covers"]]
+        p = len(elements)
+        covers = []
+        for a, b in data["covers"]:
+            if not (0 <= a < p and 0 <= b < p):
+                raise ValueError(f"cover [{a}, {b}] indexes outside 0..{p - 1}")
+            covers.append((elements[a], elements[b]))
         return cls(elements, covers)
 
     def to_dot(self) -> str:
@@ -152,7 +159,8 @@ def build_poset(spec: StripSpec) -> DibPoset:
     if not report.is_valid:
         raise InvalidStripError("; ".join(report.problems))
     if not report.is_kekulean:
-        raise NonKekuleanError("; ".join(p for p in report.problems if "Kekulean" in p))
+        # a valid strip has no problem but the non-Kekulean one
+        raise NonKekuleanError("; ".join(report.problems))
 
     profile = interface_profile(spec)
     elements = [
@@ -184,24 +192,34 @@ def induced_subposets(poset: DibPoset) -> Iterator[DibPoset]:
 
 
 class NaturalLabeling:
-    """Order-preserving bijection from poset elements to 1..p."""
+    """Order-preserving bijection from poset elements to 1..p. The pass
+    that checks the order also fills the covers in label space:
+    lower_covers[l - 1] and upper_covers[l - 1] hold l' - 1 for each
+    cover l' < l, respectively l < l', in the order of poset.covers."""
 
     def __init__(self, poset: DibPoset, elements_by_label: Sequence[Dib]):
         if sorted(elements_by_label) != list(poset.elements):
             raise ValueError("labeling must be a bijection onto the poset elements")
         self.poset = poset
         self.elements_by_label = tuple(elements_by_label)
-        self._label_of = {e: i + 1 for i, e in enumerate(self.elements_by_label)}
+        self._index = {e: i for i, e in enumerate(self.elements_by_label)}
+        lower: list[list[int]] = [[] for _ in poset.elements]
+        upper: list[list[int]] = [[] for _ in poset.elements]
         for a, b in poset.covers:
-            if self._label_of[a] > self._label_of[b]:
+            i, j = self._index[a], self._index[b]
+            if i > j:
                 raise ValueError(f"labeling is not order-preserving at {a} < {b}")
+            lower[j].append(i)
+            upper[i].append(j)
+        self.lower_covers = tuple(map(tuple, lower))
+        self.upper_covers = tuple(map(tuple, upper))
 
     @property
     def p(self) -> int:
         return len(self.elements_by_label)
 
     def label_of(self, element: Dib) -> int:
-        return self._label_of[element]
+        return self._index[element] + 1
 
     def element_of(self, label: int) -> Dib:
         return self.elements_by_label[label - 1]

@@ -40,17 +40,11 @@ class LinearExtensionRecord:
 
 def _cover_lists(
     poset: DibPoset, labeling: NaturalLabeling
-) -> tuple[list[list[int]], list[list[int]]]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Lower and upper covers of each element, indexed by label - 1."""
     if labeling.poset is not poset and labeling.poset != poset:
         raise ValueError("labeling does not belong to this poset")
-    index = {e: labeling.label_of(e) - 1 for e in poset.elements}
-    lower: list[list[int]] = [[] for _ in range(poset.p)]
-    upper: list[list[int]] = [[] for _ in range(poset.p)]
-    for a, b in poset.covers:
-        lower[index[b]].append(index[a])
-        upper[index[a]].append(index[b])
-    return lower, upper
+    return labeling.lower_covers, labeling.upper_covers
 
 
 def _walk(poset: DibPoset, labeling: NaturalLabeling) -> Iterator[tuple[list[int], int, int]]:

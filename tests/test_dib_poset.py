@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from zzstrips import (
     induced_subposets,
     interface_profile,
     natural_labeling,
+    validate,
 )
 
 from conftest import antichain_poset, chain_poset
@@ -261,3 +263,85 @@ class TestStoredOrder:
         for spec in catalog:
             poset = build_poset(spec)
             assert natural_labeling(poset).elements_by_label == rescan_labeling(poset), spec
+
+
+class TestDibTuple:
+    """Dib is a named tuple: the poset, the labeling and the CLI sort it,
+    key dicts by it and print it through its repr."""
+
+    def test_sorts_by_k_then_j(self):
+        dibs = [Dib(2, 1), Dib(1, 2), Dib(1, 1), Dib(3, 1), Dib(2, 2)]
+        assert sorted(dibs) == [Dib(1, 1), Dib(1, 2), Dib(2, 1), Dib(2, 2), Dib(3, 1)]
+        assert Dib(1, 9) < Dib(2, 1)
+
+    def test_repr(self):
+        assert repr(Dib(3, 12)) == "s(3,12)"
+        assert f"{Dib(1, 2)} < {Dib(2, 1)}" == "s(1,2) < s(2,1)"
+
+    def test_repr_in_cycle_error(self):
+        a, b = Dib(1, 1), Dib(2, 1)
+        with pytest.raises(ValueError, match=r"relation is cyclic at s\(1,1\)"):
+            DibPoset([a, b], [(a, b), (b, a)])
+
+    def test_immutable(self):
+        dib = Dib(1, 2)
+        with pytest.raises(AttributeError):
+            dib.k = 5
+        with pytest.raises(AttributeError):
+            dib.extra = 0
+        assert dib == Dib(1, 2)
+
+    def test_dict_key(self):
+        table = {Dib(k, j): 10 * k + j for k in range(1, 4) for j in range(1, 3)}
+        assert len(table) == 6
+        assert table[Dib(2, 1)] == 21
+        assert Dib(3, 2) in table and Dib(2, 3) not in table
+
+    def test_equals_plain_tuple(self):
+        # the documented tuple semantics: Dib(k, j) and (k, j) are one key
+        assert Dib(1, 2) == (1, 2)
+        assert hash(Dib(1, 2)) == hash((1, 2))
+        assert Dib(1, 2).k == 1 and Dib(1, 2).j == 2
+
+
+class TestFromJsonIndices:
+    TWO = '{"elements": [{"k": 1, "j": 1}, {"k": 2, "j": 1}], "covers": %s}'
+
+    def test_negative_index_rejected(self):
+        # a wrapped -1 would read as s(1,1) < s(2,1)
+        with pytest.raises(ValueError, match=r"cover \[0, -1\]"):
+            DibPoset.from_json(self.TWO % "[[0, -1]]")
+
+    def test_index_past_end_rejected(self):
+        with pytest.raises(ValueError, match=r"cover \[0, 2\]"):
+            DibPoset.from_json(self.TWO % "[[0, 2]]")
+
+    def test_valid_indices_accepted(self):
+        poset = DibPoset.from_json(self.TWO % "[[0, 1]]")
+        assert poset.covers == ((Dib(1, 1), Dib(2, 1)),)
+
+
+class TestNonKekuleanReport:
+    def test_valid_reports_list_only_non_kekulean_problems(self):
+        # build_poset passes a valid report's problems on as the
+        # NonKekuleanError message without filtering them
+        valid = non_kekulean = 0
+        for length in range(1, 8):
+            for shapes in itertools.product("WNRL", repeat=length):
+                for n in (1, 2, 3):
+                    report = validate(StripSpec(shapes, n))
+                    if not report.is_valid:
+                        continue
+                    valid += 1
+                    if not report.is_kekulean:
+                        non_kekulean += 1
+                        assert report.problems
+                    assert all(p.startswith("non-Kekulean: ") for p in report.problems)
+        assert (valid, non_kekulean) == (887, 11)
+
+    def test_error_message_is_the_report(self):
+        spec = StripSpec(tuple("WNNWWN"), 4)
+        with pytest.raises(NonKekuleanError) as info:
+            build_poset(spec)
+        assert str(info.value) == "; ".join(validate(spec).problems)
+        assert str(info.value).startswith("non-Kekulean: ")

@@ -323,3 +323,42 @@ class TestPackedCounts:
         form = closed_form(spec)
         assert form.p == 30
         assert form.extension_count == expected
+
+
+def assert_label_covers(poset, lab):
+    """lower_covers and upper_covers are poset.covers in label space
+    (label - 1 throughout), and each is the other transposed."""
+    expected = sorted((lab.label_of(a) - 1, lab.label_of(b) - 1) for a, b in poset.covers)
+    lower, upper = lab.lower_covers, lab.upper_covers
+    assert isinstance(lower, tuple) and isinstance(upper, tuple)
+    assert len(lower) == len(upper) == poset.p
+    assert all(isinstance(row, tuple) for row in lower + upper)
+    # read by rows, the pairs (i, j) of both are poset.covers' pairs, so
+    # each is the other transposed
+    assert sorted((i, j) for j, row in enumerate(lower) for i in row) == expected
+    assert sorted((i, j) for i, row in enumerate(upper) for j in row) == expected
+
+
+class TestLabelSpaceCovers:
+    """The walk and the DP read their covers straight off the labeling."""
+
+    def test_catalog_natural_and_random_labelings(self, small_catalog):
+        rng = random.Random(5)
+        for spec in small_catalog:
+            poset = build_poset(spec)
+            assert_label_covers(poset, natural_labeling(poset))
+            for _ in range(2):
+                assert_label_covers(poset, random_natural_labeling(poset, rng))
+
+    @settings(max_examples=120, deadline=None)
+    @given(posets_with_implied_covers(), st.randoms(use_true_random=False))
+    def test_random_posets_with_implied_covers(self, poset, rnd):
+        # redundant relations in the cover list appear in label space too
+        assert_label_covers(poset, natural_labeling(poset))
+        for _ in range(2):
+            assert_label_covers(poset, random_natural_labeling(poset, rnd))
+
+    def test_flake_alt_labeling(self):
+        # FLAKE_ALT_LABELING reads s(2,1) s(1,1) s(3,1) s(2,2) s(4,1) s(3,2)
+        assert FLAKE_ALT_LABELING.lower_covers == ((), (0,), (0,), (1, 2), (2,), (3, 4))
+        assert FLAKE_ALT_LABELING.upper_covers == ((1, 2), (3,), (3, 4), (5,), (5,), ())
