@@ -26,7 +26,8 @@ at once in bounded memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TypeVar
+from operator import add, ge, itemgetter
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .dib_poset import Dib, DibPoset, _bits, build_poset
 from .strip_geometry import StripSpec
@@ -44,8 +45,9 @@ class OrderMap:
     def __post_init__(self) -> None:
         if len(self.elements) != len(self.values):
             raise ValueError("elements and values must align")
-        if list(self.elements) != sorted(self.elements):
-            raise ValueError("elements must be in canonical (k, j) order")
+        # strictly ascending: a repeated element would stand for no subset
+        if any(map(ge, self.elements, self.elements[1:])):
+            raise ValueError("elements must be distinct and in canonical (k, j) order")
 
     def value_of(self, element: Dib) -> int:
         return self.values[self.elements.index(element)]
@@ -138,6 +140,10 @@ def map_from_kekule(
     poset = build_poset(spec) if poset is None else poset
     if ka.elements != poset.elements:
         raise ValueError("assignment does not cover the DIBs of this strip")
+    if len(ka.positions) != len(ka.elements):
+        raise ValueError(
+            f"{len(ka.positions)} positions do not align with {len(ka.elements)} DIBs"
+        )
     offsets = {e: p - e.j for e, p in zip(ka.elements, ka.positions)}
     for e, value in offsets.items():
         if not 0 <= value <= spec.n:
@@ -157,47 +163,22 @@ def map_from_kekule(
     return OrderMap(tuple(selected), tuple(offsets[e] for e in selected))
 
 
-def _strict_values(
-    lower: list[list[int]], upper: list[list[int]], n: int
-) -> Iterator[tuple[int, ...]]:
-    """Strictly order-preserving value tuples into [n], in lexicographic
-    order. lower[t] and upper[t] list the earlier positions whose member
-    is below, respectively above, the member at position t; each value
-    runs from one more than its placed lower neighbours to one less than
-    its placed upper neighbours."""
-    size = len(lower)
-    if size == 0:
-        yield ()
-        return
-    values = [0] * size
-    highs = [n] * size
-    t = 0
-    while t >= 0:
-        values[t] += 1
-        if values[t] > highs[t]:
-            t -= 1
-            continue
-        if t == size - 1:
-            yield tuple(values)
-            continue
-        t += 1
-        values[t] = max((values[s] for s in lower[t]), default=0)
-        highs[t] = min((values[s] for s in upper[t]), default=n + 1) - 1
-
-
 def _short_subsets(
-    below: Sequence[int], above: Sequence[int], n: int
+    below: Sequence[int], above: Sequence[int], n: int, height: dict[int, int] | None = None
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """(indices, mask) of every subset whose longest chain has at most n
     elements, in ascending mask order, indices ascending.
 
     The walk decides bits from the highest down, leaving each out before
-    putting it in, and keeps the height of every subset it has kept. A
-    longest chain of mask plus a new lowest bit t either avoids t or
-    splits at t into a chain below it and one above it, both within
-    subsets of mask that the walk has kept already. Height never drops
-    when a subset grows, so cutting off a taller one loses nothing."""
-    height = {0: 0}
+    putting it in, and keeps the height of every subset it has kept, in
+    height if a table is passed. A longest chain of mask plus a new
+    lowest bit t either avoids t or splits at t into a chain below it
+    and one above it, both within subsets of mask that the walk has kept
+    already. Height never drops when a subset grows, so cutting off a
+    taller one loses nothing, and every subset of a yielded mask has
+    been yielded, with its height stored, before it."""
+    height = {} if height is None else height
+    height[0] = 0
     stack = [(len(below), 0, ())]
     while stack:
         t, mask, idx = stack.pop()
@@ -225,47 +206,143 @@ def kekule_groups(
     strictly order-preserving map into [n] (its strict order polynomial
     vanishes there, Stanley, EC1 3.12), so the walk over subsets never
     visits it or any superset, and every group holds at least one
-    structure. Each DIB spreads to the largest value among the maximal
-    members of A at or below it, found once per subset. A group's
-    structures stay valid after the walk moves on.
+    structure. The same bound, read from the heights the walk keeps,
+    confines each member of A: its value exceeds the height of the part
+    of A below it and is at most n less the height of the part above
+    it. Each DIB spreads to the largest value among the maximal members
+    of A at or below it, found for all DIBs in one pass over the lower
+    covers per subset. A group's structures stay valid after the walk
+    moves on.
     """
     elements = poset.elements
     p = poset.p
     below = poset.below_masks
     above = [sum(1 << t for t in range(p) if below[t] >> i & 1) for i in range(p)]
-    offsets = [e.j for e in elements]
-    for idx, mask in _short_subsets(below, above, n):
-        lower = [[s for s in range(t) if below[i] >> idx[s] & 1] for t, i in enumerate(idx)]
-        upper = [[s for s in range(t) if below[idx[s]] >> i & 1] for t, i in enumerate(idx)]
-        # Each DIB reads its value from the slot of its one maximal member
-        # of A at or below it, or slot len(idx), which holds 0, if none;
-        # a DIB with several maximal ones takes the largest of their values.
-        spread_from, several = [], []
-        for i in range(p):
-            reach = (below[i] | 1 << i) & mask
-            tops = [s for s, t in enumerate(idx) if reach >> t & 1 and not above[t] & reach]
-            spread_from.append(tops[0] if tops else len(idx))
-            if len(tops) > 1:
-                several.append((i, tops))
+    offsets = tuple(e.j for e in elements)
+    # the poset's covers generate its order, so everything below a DIB
+    # lies at or below one of its lower covers
+    index = {e: i for i, e in enumerate(elements)}
+    lower_covers: list[list[int]] = [[] for _ in elements]
+    for a, b in poset.covers:
+        lower_covers[index[b]].append(index[a])
+    # the DIBs in a linear extension, each after everything below it
+    extension = [
+        (i, 1 << i, below[i], lower_covers[i])
+        for i in sorted(range(p), key=lambda i: bin(below[i]).count("1"))
+    ]
+    height: dict[int, int] = {}
+    for idx, mask in _short_subsets(below, above, n, height):
+        # A member whose chains through it span all of [n] takes one
+        # value in every map, and the bounds of the members above and
+        # below it already leave room for that value. The other members
+        # are free: each is placed within its bounds and against the
+        # free members placed before it, in ascending DIB order.
+        fixed, free, placed = [], [], 0
+        for i in idx:
+            low = height[mask & below[i]] + 1
+            high = n - height[mask & above[i]]
+            if low == high:
+                fixed.append((i, low))
+                continue
+            lower, upper = [*_bits(placed & below[i])], [*_bits(placed & above[i])]
+            free.append((i, low, high, lower, upper))
+            placed |= 1 << i
+        # shadow[i]: every DIB below a member of A at or below DIB i; the
+        # maximal such members are the members below i outside it
+        shadow = [0] * p
+        sources, several = [p] * p, []
+        for i, bit, lows, covers in extension:
+            if mask & bit:
+                shadow[i] = lows
+                sources[i] = i
+                continue
+            reach = 0
+            for c in covers:
+                reach |= shadow[c]
+            shadow[i] = reach
+            tops = mask & lows & ~reach
+            if tops & (tops - 1):
+                several.append((i, tuple(_bits(tops))))
+            elif tops:
+                sources[i] = tops.bit_length() - 1
         members = tuple(elements[i] for i in idx)
-        yield members, _spread(_strict_values(lower, upper, n), spread_from, several, offsets)
+        yield members, _structures(idx, fixed, free, sources, several, offsets)
 
 
-def _spread(
-    maps: Iterator[tuple[int, ...]],
-    spread_from: list[int],
-    several: list[tuple[int, list[int]]],
-    offsets: list[int],
+def _tuple_getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """itemgetter over one or more indices that always gives a tuple."""
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda items: (items[index],)
+    return itemgetter(*indices)
+
+
+def _structures(
+    idx: tuple[int, ...],
+    fixed: list[tuple[int, int]],
+    free: list[tuple[int, int, int, list[int], list[int]]],
+    sources: list[int],
+    several: list[tuple[int, tuple[int, ...]]],
+    offsets: tuple[int, ...],
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each map's values with its spread positions: a DIB takes the
-    value in slot spread_from[i], or the largest of several slots, plus
-    its offset j."""
-    for values in maps:
-        padded = values + (0,)
-        positions = [padded[s] + j for s, j in zip(spread_from, offsets)]
-        for i, tops in several:
-            positions[i] = max([padded[s] for s in tops]) + offsets[i]
-        yield values, tuple(positions)
+    """A subset's strictly order-preserving maps into [n], in
+    lexicographic order, each with its spread positions.
+
+    The members idx are fixed, as (DIB, value), or free, as (DIB, least
+    and greatest value, earlier free members below and above it), both
+    in ascending DIB order. A free member's value runs from one more
+    than its placed lower neighbours to one less than its placed upper
+    ones, within its bounds. Values live in a list indexed by DIB with a
+    last slot that stays 0: a DIB takes the value of slot sources[i], or
+    for those in several the largest of their slots, plus its offset j.
+    """
+    if not idx:
+        yield (), offsets
+        return
+    values = [0] * (len(offsets) + 1)
+    for i, value in fixed:
+        values[i] = value
+    mu, spread = _tuple_getter(idx), _tuple_getter(sources)
+    maxima = [(i, _tuple_getter(tops), offsets[i]) for i, tops in several]
+
+    def structure() -> tuple[tuple[int, ...], tuple[int, ...]]:
+        positions = list(map(add, spread(values), offsets))
+        for i, tops, j in maxima:
+            positions[i] = max(tops(values)) + j
+        return mu(values), tuple(positions)
+
+    if not free:
+        yield structure()
+        return
+    last = len(free) - 1
+    highs = [0] * len(free)
+    first, low, highs[0], _, _ = free[0]
+    values[first] = low - 1
+    t = 0
+    while t >= 0:
+        i = free[t][0]
+        value = values[i] + 1
+        if value > highs[t]:
+            t -= 1
+            continue
+        values[i] = value
+        if t < last:
+            t += 1
+            i, low, high, lower, upper = free[t]
+            for s in lower:
+                if values[s] >= low:
+                    low = values[s] + 1
+            for s in upper:
+                if values[s] <= high:
+                    high = values[s] - 1
+            values[i] = low - 1
+            highs[t] = high
+            continue
+        # the last free member runs through its whole range at once
+        for value in range(value, highs[t] + 1):
+            values[i] = value
+            yield structure()
+        t -= 1
 
 
 def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignment]]:

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zzstrips import (
     Dib,
+    DibPoset,
     OrderMap,
     StripSpec,
     binom,
@@ -76,6 +79,12 @@ class TestOrderMapChecks:
         with pytest.raises(ValueError, match="canonical"):
             OrderMap((Dib(2, 1), Dib(1, 1)), (1, 2))
 
+    def test_repeated_element_rejected(self):
+        # no subset A holds an element twice; kekule_from_map would
+        # otherwise give a structure with two bonds at one position
+        with pytest.raises(ValueError, match="distinct"):
+            OrderMap((Dib(1, 1), Dib(1, 1)), (1, 2))
+
     def test_enumerated_maps_equal_checked_ones(self, small_catalog):
         # enumerate_kekule checks each subset once and builds its maps
         # without the per-map check; they must be the maps the checked
@@ -106,6 +115,13 @@ class TestMapFromKekule:
         ka = KekuleAssignment(poset.elements, (2, 1))
         with pytest.raises(ValueError):
             map_from_kekule(PARA, ka)
+
+    @pytest.mark.parametrize("positions", [(), (1,), (1, 1, 1)])
+    def test_rejects_positions_not_aligned_with_dibs(self, positions):
+        poset = build_poset(PARA)
+        ka = KekuleAssignment(poset.elements, positions)
+        with pytest.raises(ValueError, match=f"{len(positions)} positions .* 2 DIBs"):
+            map_from_kekule(PARA, ka, poset=poset)
 
     def test_rejects_position_out_of_interface(self):
         poset = build_poset(PARA)
@@ -347,6 +363,71 @@ class TestKekuleGroups:
                 for members, structures in kekule_groups(poset, spec.n)
             ]
             assert late == eager, spec
+
+
+# The brute force below tries n^|A| values on every subset A, (n + 1)^p
+# in all; n stops where that would pass this many.
+BRUTE_FORCE_ASSIGNMENTS = 20_000
+
+
+@st.composite
+def posets_and_lengths(draw):
+    """A random poset on p <= 8 DIBs with a length n in 0..p+1, cut to
+    the brute force's budget. The edges follow a random topological
+    order, so they run both ways against the canonical (k, j) order."""
+    p = draw(st.integers(0, 8))
+    topo = draw(st.permutations(range(p)))
+    pairs = [(topo[a], topo[b]) for a in range(p) for b in range(a + 1, p)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    elements = [Dib(t % 3 + 1, t // 3 + 1) for t in range(p)]
+    poset = DibPoset(elements, [(elements[a], elements[b]) for a, b in edges])
+    top = max(n for n in range(p + 2) if (n + 1) ** p <= BRUTE_FORCE_ASSIGNMENTS)
+    return poset, draw(st.integers(0, top))
+
+
+def _brute_force_groups(poset, n):
+    """Every (A, mu, positions) triple: every mask in ascending order,
+    the brute-force strict maps of its induced subposet in lexicographic
+    order, and each DIB at j plus the largest value of A at or below it."""
+    elements = poset.elements
+    triples = []
+    for mask in range(1 << poset.p):
+        members = tuple(e for i, e in enumerate(elements) if mask >> i & 1)
+        maps = brute_force_strict_maps(poset.subposet(members), n)
+        for values in sorted(tuple(m[e] for e in members) for m in maps):
+            mu = dict(zip(members, values))
+            positions = tuple(
+                e.j + max((v for a, v in mu.items() if a == e or poset.less(a, e)), default=0)
+                for e in elements
+            )
+            triples.append((members, values, positions))
+    return triples
+
+
+# an antichain, where no bound binds; and s(2,1) above the incomparable
+# s(1,1) and s(1,2), which are its two maximal members of A below it
+# whenever A holds both and not s(2,1)
+ANTICHAIN = DibPoset([Dib(1, 1), Dib(1, 2), Dib(2, 1), Dib(3, 1)], [])
+TWO_TOPS = DibPoset(
+    [Dib(1, 1), Dib(1, 2), Dib(2, 1), Dib(2, 2)],
+    [(Dib(1, 1), Dib(2, 1)), (Dib(1, 2), Dib(2, 1)), (Dib(2, 1), Dib(2, 2))],
+)
+
+
+class TestKekuleGroupsBruteForce:
+    @settings(max_examples=100, deadline=None)
+    @given(posets_and_lengths())
+    @example((ANTICHAIN, 2))
+    @example((TWO_TOPS, 2))
+    @example((TWO_TOPS, 3))
+    def test_flattened_groups_equal_brute_force(self, case):
+        poset, n = case
+        flat = [
+            (members, values, positions)
+            for members, structures in kekule_groups(poset, n)
+            for values, positions in structures
+        ]
+        assert flat == _brute_force_groups(poset, n)
 
 
 class TestClarRecordOrderMap:
