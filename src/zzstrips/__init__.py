@@ -11,15 +11,12 @@ from .dib_poset import (
     DibPoset,
     NaturalLabeling,
     build_poset,
-    induced_subposets,
     natural_labeling,
 )
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
 from .extension_engine import (
     LinearExtensionRecord,
-    descent_stats,
     extension_records,
-    fixed_labels,
     linear_extensions,
 )
 from .kekule_bijection import (
@@ -46,29 +43,20 @@ from .oracle import (
 from .order_polynomials import (
     ClosedForm,
     ZzPolynomial,
-    a_coefficients,
-    binom,
-    brute_force_strict_maps,
     closed_form,
-    extended_poly_extension_formula,
     extended_poly_subposet_sum,
-    strict_order_poly,
     zz_polynomial,
 )
 from .strip_geometry import (
     BenzenoidGraph,
-    FragmentInfo,
     Hexagon,
     InterfaceProfile,
     StripSpec,
     ValidationReport,
     build_graph,
-    fragment_info,
     interface_profile,
-    parallelogram,
     parse_strip,
     shapes_from_graph,
-    tier_offsets,
     validate,
 )
 
@@ -79,7 +67,6 @@ __all__ = [
     "Dib",
     "DibPoset",
     "ExplicitClarCover",
-    "FragmentInfo",
     "GuardExceeded",
     "Hexagon",
     "InterfaceProfile",
@@ -93,38 +80,27 @@ __all__ = [
     "StripSpec",
     "ValidationReport",
     "ZzPolynomial",
-    "a_coefficients",
-    "binom",
-    "brute_force_strict_maps",
     "build_graph",
     "build_poset",
     "closed_form",
     "count_clar_covers",
     "count_proper_sextets",
     "count_sextet_matchings",
-    "descent_stats",
     "enumerate_clar_covers",
     "enumerate_kekule",
     "enumerate_perfect_matchings",
-    "extended_poly_extension_formula",
     "extended_poly_subposet_sum",
     "extension_records",
     "extract_ki",
-    "fixed_labels",
-    "fragment_info",
     "generate_clar_covers",
-    "induced_subposets",
     "interface_profile",
     "iter_clar_covers",
     "kekule_from_map",
     "linear_extensions",
     "map_from_kekule",
     "natural_labeling",
-    "parallelogram",
     "parse_strip",
     "shapes_from_graph",
-    "strict_order_poly",
-    "tier_offsets",
     "validate",
     "zz_from_covers",
     "zz_from_matchings",

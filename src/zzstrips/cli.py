@@ -64,12 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-vertices", type=int,
                            help="optional limit: exit 3 on a graph with more "
                            "vertices (no limit by default)")
-        choices = ["text", "json"]
+        # kekule and clar write one JSON line per structure or cover only
+        choices = ["json"] if mode in ("kekule", "clar") else ["text", "json"]
         if mode in ("zz", "closed-form"):
             choices.append("latex")
         if mode == "poset":
             choices.append("dot")
-        p.add_argument("--format", dest="fmt", choices=choices, default="text")
+        p.add_argument("--format", dest="fmt", choices=choices, default=choices[0])
     return parser
 
 

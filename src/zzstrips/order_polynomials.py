@@ -1,16 +1,19 @@
 """Strict order polynomials, their subposet-weighted extension, and the
 Zhang-Zhang polynomial of a strip.
 
-Two independent routes to the extended polynomial are kept first-class:
-the definitional sum over all induced subposets and the closed formula
-over linear extensions with descent/fixed-label statistics. They must
-agree exactly, and the test suite holds them to that. All arithmetic is
-exact integer arithmetic.
+The production route is the closed formula over linear extensions:
+``closed_form`` groups them by their (descent count, fixed count) pair
+through ``des_fix_counts``, and ``zz_polynomial`` evaluates that form at
+the strip's n. ``extended_poly_subposet_sum`` is the oracle: the
+definitional sum of strict order polynomials over all induced
+subposets, which must agree exactly with the closed formula. The
+brute-force strict maps and the proper-sextet coefficients by subposet
+sums are test references and live in ``tests/reference.py``. All
+arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,19 +27,11 @@ from .dib_poset import (
     induced_subposets,
     natural_labeling,
 )
-from .errors import GuardExceeded, NonKekuleanError
+from .errors import GuardExceeded, NonKekuleanError, json_int
 from .extension_engine import des_fix_counts
 from .strip_geometry import StripSpec
 
 DEFAULT_SUBSET_GUARD = 20
-DEFAULT_MAP_GUARD = 4_000_000
-
-
-def binom(n: int, k: int) -> int:
-    """C(n, k), zero whenever k < 0 or k > n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -114,7 +109,7 @@ class ZzPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "ZzPolynomial":
-        return cls.from_coeffs(json.loads(text)["coeffs"])
+        return cls.from_coeffs(json_int(c, "coefficient") for c in json.loads(text)["coeffs"])
 
 
 def strict_order_poly(poset: DibPoset, n: int) -> int:
@@ -123,34 +118,6 @@ def strict_order_poly(poset: DibPoset, n: int) -> int:
         raise ValueError("n must be nonnegative")
     counts = des_fix_counts(poset, natural_labeling(poset))
     return sum(mult * math.comb(n + des, poset.p) for (des, _), mult in counts.items())
-
-
-def brute_force_strict_maps(
-    poset: DibPoset, n: int, max_assignments: int = DEFAULT_MAP_GUARD
-) -> list[dict]:
-    """Exhaustively enumerate the strictly order-preserving maps.
-
-    Independent of the extension machinery on purpose: this is the
-    oracle side of the strict_order_poly cross-check.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n ** poset.p > max_assignments:
-        raise GuardExceeded(
-            f"{n}^{poset.p} assignments exceed the brute-force guard {max_assignments}"
-        )
-    elements = poset.elements
-    pairs = [
-        (i, jdx)
-        for i, a in enumerate(elements)
-        for jdx, b in enumerate(elements)
-        if poset.less(a, b)
-    ]
-    maps = []
-    for values in itertools.product(range(1, n + 1), repeat=poset.p):
-        if all(values[i] < values[j] for i, j in pairs):
-            maps.append(dict(zip(elements, values)))
-    return maps
 
 
 def extended_poly_subposet_sum(
@@ -209,13 +176,6 @@ def zz_polynomial(spec: StripSpec) -> ZzPolynomial:
     except NonKekuleanError:
         return ZzPolynomial.zero()
     return form.evaluate(spec.n)
-
-
-def a_coefficients(spec: StripSpec, max_p: int = DEFAULT_SUBSET_GUARD) -> tuple[int, ...]:
-    """a(k) = number of Kekule structures with exactly k proper sextets,
-    computed as the subposet sums of strict order polynomials."""
-    poset = build_poset(spec)
-    return extended_poly_subposet_sum(poset, spec.n, max_p=max_p)
 
 
 @dataclass(frozen=True)
@@ -306,8 +266,11 @@ class ClosedForm:
     def from_json(cls, text: str) -> "ClosedForm":
         data = json.loads(text)
         return cls(
-            int(data["p"]),
-            tuple((int(g["des"]), int(g["fix"]), int(g["mult"])) for g in data["groups"]),
+            json_int(data["p"], "p"),
+            tuple(
+                tuple(json_int(g[key], key) for key in ("des", "fix", "mult"))
+                for g in data["groups"]
+            ),
         )
 
 

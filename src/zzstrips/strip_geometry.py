@@ -47,7 +47,7 @@ class StripSpec:
         for letter in self.shapes:
             if letter not in SHAPE_LETTERS:
                 raise StripParseError(f"unknown shape letter {letter!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise StripParseError(f"strip length must be a positive integer, got {self.n!r}")
 
     @property
@@ -61,7 +61,7 @@ class StripSpec:
     @classmethod
     def from_json(cls, text: str) -> "StripSpec":
         data = json.loads(text)
-        return cls(tuple(data["shapes"]), int(data["n"]))
+        return cls(tuple(data["shapes"]), data["n"])
 
 
 def parallelogram(tiers: int, n: int) -> StripSpec:

@@ -11,7 +11,6 @@ import pytest
 from zzstrips import (
     StripSpec,
     ZzPolynomial,
-    binom,
     build_graph,
     build_poset,
     closed_form,
@@ -25,13 +24,13 @@ from zzstrips import (
     kekule_from_map,
     map_from_kekule,
     natural_labeling,
-    extended_poly_extension_formula,
     extended_poly_subposet_sum,
     zz_from_covers,
     zz_from_matchings,
     zz_polynomial,
 )
 from zzstrips.extension_engine import descent_stats
+from zzstrips.order_polynomials import extended_poly_extension_formula
 
 from conftest import (
     all_strips,
@@ -40,6 +39,7 @@ from conftest import (
     fence_poset,
     random_natural_labeling,
 )
+from reference import binom
 
 
 def _report(number: int, name: str, ok: bool) -> None:

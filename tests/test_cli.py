@@ -239,6 +239,16 @@ class TestEnumerationModes:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 3432
 
+    @pytest.mark.parametrize("mode", ["kekule", "clar"])
+    def test_format_is_json_only(self, capsys, mode):
+        # both modes always write JSON lines; a text format would be ignored
+        default = run_cli(capsys, mode, "WRN 2")
+        assert default[0] == 0
+        assert run_cli(capsys, mode, "WRN 2", "--format", "json") == default
+        code, out, err = run_cli(capsys, mode, "WRN 2", "--format", "text")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'text'" in err
+
 
 class TestKekuleLineEncoding:
     @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2"])

@@ -12,11 +12,11 @@ from zzstrips import (
     NonKekuleanError,
     StripSpec,
     build_poset,
-    induced_subposets,
     interface_profile,
     natural_labeling,
     validate,
 )
+from zzstrips.dib_poset import induced_subposets
 
 from conftest import antichain_poset, chain_poset
 
@@ -319,6 +319,20 @@ class TestFromJsonIndices:
     def test_valid_indices_accepted(self):
         poset = DibPoset.from_json(self.TWO % "[[0, 1]]")
         assert poset.covers == ((Dib(1, 1), Dib(2, 1)),)
+
+    @pytest.mark.parametrize(
+        "covers", ["[[0, 1.0]]", "[[0.5, 1]]", "[[false, true]]", '[["0", 1]]']
+    )
+    def test_non_integer_index_rejected(self, covers):
+        with pytest.raises(ValueError, match="cover index must be an integer"):
+            DibPoset.from_json(self.TWO % covers)
+
+    @pytest.mark.parametrize("k", ["1.5", "true", '"1"'])
+    def test_non_integer_element_rejected(self, k):
+        # int() would read 1.5 as s(1, 1)
+        text = '{"elements": [{"k": %s, "j": 1}], "covers": []}' % k
+        with pytest.raises(ValueError, match="k must be an integer"):
+            DibPoset.from_json(text)
 
 
 class TestNonKekuleanReport:

@@ -13,14 +13,18 @@ from zzstrips import (
     StripSpec,
     build_poset,
     closed_form,
-    descent_stats,
     extension_records,
-    fixed_labels,
     linear_extensions,
     natural_labeling,
     parse_strip,
 )
-from zzstrips.extension_engine import _walk, des_fix_counts, iter_extension_records
+from zzstrips.extension_engine import (
+    _walk,
+    des_fix_counts,
+    descent_stats,
+    fixed_labels,
+    iter_extension_records,
+)
 
 from conftest import (
     all_strips,

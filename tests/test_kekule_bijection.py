@@ -7,8 +7,6 @@ from zzstrips import (
     DibPoset,
     OrderMap,
     StripSpec,
-    binom,
-    brute_force_strict_maps,
     build_graph,
     build_poset,
     enumerate_kekule,
@@ -28,6 +26,8 @@ from zzstrips.kekule_bijection import (
     kekule_groups,
     subset_blocks,
 )
+
+from reference import binom, brute_force_strict_maps
 
 
 PARA = StripSpec(tuple("WRN"), 2)

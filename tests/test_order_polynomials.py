@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -13,19 +14,18 @@ from zzstrips import (
     NonKekuleanError,
     StripSpec,
     ZzPolynomial,
-    a_coefficients,
-    binom,
-    brute_force_strict_maps,
     build_poset,
     closed_form,
-    extended_poly_extension_formula,
     extended_poly_subposet_sum,
     natural_labeling,
-    strict_order_poly,
     zz_polynomial,
 )
 from zzstrips.extension_engine import des_fix_counts
-from zzstrips.order_polynomials import ClosedForm
+from zzstrips.order_polynomials import (
+    ClosedForm,
+    extended_poly_extension_formula,
+    strict_order_poly,
+)
 from zzstrips.strip_geometry import catalog_shapes
 
 from conftest import (
@@ -35,6 +35,7 @@ from conftest import (
     fence_poset,
     random_natural_labeling,
 )
+from reference import a_coefficients, binom, brute_force_strict_maps
 
 
 class TestBinom:
@@ -71,6 +72,11 @@ class TestZzPolynomial:
         poly = ZzPolynomial((6, 6, 1))
         assert ZzPolynomial.from_json(poly.to_json()) == poly
 
+    @pytest.mark.parametrize("coeffs", ["[1.5, 2]", "[6, 6.0, 1]", "[true]", '["6"]'])
+    def test_json_rejects_non_integer_coefficients(self, coeffs):
+        with pytest.raises(ValueError, match="coefficient must be an integer"):
+            ZzPolynomial.from_json('{"coeffs": %s}' % coeffs)
+
 
 class TestStrictOrderPoly:
     def test_empty_poset(self):
@@ -90,7 +96,7 @@ class TestStrictOrderPoly:
         assert strict_order_poly(chain_poset(3), 0) == 0
 
     def test_matches_brute_force(self, small_catalog):
-        from zzstrips import induced_subposets
+        from zzstrips.dib_poset import induced_subposets
 
         for spec in small_catalog[:12]:
             poset = build_poset(spec)
@@ -283,6 +289,16 @@ class TestClosedForm:
     def test_json_round_trip(self):
         cf = closed_form(StripSpec(tuple("WWRNN"), 3))
         assert ClosedForm.from_json(cf.to_json()) == cf
+
+    @pytest.mark.parametrize(
+        "field, value", [("p", 1.7), ("p", True), ("des", "0"), ("fix", 0.0), ("mult", 1.5)]
+    )
+    def test_json_rejects_non_integers(self, field, value):
+        # int() would turn "p": 1.7 into 1
+        data = {"p": 1, "groups": [{"des": 0, "fix": 0, "mult": 1}]}
+        (data if field == "p" else data["groups"][0])[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ClosedForm.from_json(json.dumps(data))
 
 
 def _weak_maps(poset, n):

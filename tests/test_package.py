@@ -1,0 +1,37 @@
+"""The public surface of the package: what ``import zzstrips`` offers."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import zzstrips
+import zzstrips.order_polynomials
+
+
+def _bound_public_names() -> set[str]:
+    """Public names the top-level statements of __init__.py bind."""
+    tree = ast.parse(Path(zzstrips.__file__).read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_all_names_resolve_once():
+    assert len(zzstrips.__all__) == len(set(zzstrips.__all__))
+    for name in zzstrips.__all__:
+        assert getattr(zzstrips, name) is not None, name
+
+
+def test_all_equals_the_bound_names():
+    assert set(zzstrips.__all__) == _bound_public_names()
+
+
+@pytest.mark.parametrize("name", ["binom", "a_coefficients", "brute_force_strict_maps"])
+@pytest.mark.parametrize("module", [zzstrips, zzstrips.order_polynomials], ids=lambda m: m.__name__)
+def test_test_references_stay_out_of_the_package(module, name):
+    assert not hasattr(module, name)

@@ -9,15 +9,19 @@ from zzstrips import (
     InvalidStripError,
     StripSpec,
     build_graph,
-    fragment_info,
     interface_profile,
-    parallelogram,
     parse_strip,
     shapes_from_graph,
-    tier_offsets,
     validate,
 )
-from zzstrips.strip_geometry import SHAPE_LETTERS, _canonical_shapes, catalog_shapes
+from zzstrips.strip_geometry import (
+    SHAPE_LETTERS,
+    _canonical_shapes,
+    catalog_shapes,
+    fragment_info,
+    parallelogram,
+    tier_offsets,
+)
 
 from conftest import all_strips
 
@@ -49,6 +53,17 @@ class TestParse:
     def test_json_round_trip(self):
         spec = StripSpec(("W", "W", "R", "N", "N"), 3)
         assert StripSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("n", ["2.9", '"3"', "true", "null", "[3]"])
+    def test_json_rejects_non_integer_n(self, n):
+        # int() would truncate 2.9 to 2 and accept the string "3"
+        with pytest.raises(StripParseError, match="positive integer"):
+            StripSpec.from_json('{"shapes": ["W", "N"], "n": %s}' % n)
+
+    @pytest.mark.parametrize("n", [True, 2.0, "3"])
+    def test_constructor_rejects_non_int_n(self, n):
+        with pytest.raises(StripParseError):
+            StripSpec(("W", "N"), n)
 
 
 class TestProfile:
