@@ -38,6 +38,9 @@ from .strip_geometry import (
     validate,
 )
 
+# lines of zz --n-range per write to stdout
+_N_RANGE_BLOCK = 256
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -234,16 +237,19 @@ def _run_zz(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         head = '{"shapes": ' + json.dumps(list(spec.shapes)) + ', "n": '
         tail = "]}}\n" if cf is None else ']}, "closed_form": ' + cf.to_json() + "}\n"
-    for n, zz in zip(range(lo, hi + 1), polys):
+
+    def line(n: int, zz: ZzPolynomial) -> str:
         if cf is None:
             print(warning, file=sys.stderr)
         if args.fmt == "json":
             coeffs = ", ".join(map(str, zz.coeffs))
-            sys.stdout.write(f'{head}{n}, "zz": {{"coeffs": [{coeffs}{tail}')
-        elif args.fmt == "latex":
-            print(zz.to_latex())
-        else:
-            print(zz)
+            return f'{head}{n}, "zz": {{"coeffs": [{coeffs}{tail}'
+        return (zz.to_latex() if args.fmt == "latex" else str(zz)) + "\n"
+
+    # one write per block of lines, and no more than a block held at once
+    lines = map(line, range(lo, hi + 1), polys)
+    while block := list(itertools.islice(lines, _N_RANGE_BLOCK)):
+        sys.stdout.write("".join(block))
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvalidStripError, NonKekuleanError, json_int
+from .errors import InvalidStripError, NonKekuleanError, json_field, json_int, json_list
 from .strip_geometry import StripSpec, fragment_info, interface_profile, validate
 
 
@@ -126,10 +126,14 @@ class DibPoset:
     @classmethod
     def from_json(cls, text: str) -> "DibPoset":
         data = json.loads(text)
-        elements = [Dib(json_int(d["k"], "k"), json_int(d["j"], "j")) for d in data["elements"]]
+        elements = [
+            Dib(json_int(json_field(d, "k"), "k"), json_int(json_field(d, "j"), "j"))
+            for d in json_list(json_field(data, "elements"), "elements")
+        ]
         p = len(elements)
         covers = []
-        for a, b in data["covers"]:
+        for pair in json_list(json_field(data, "covers"), "covers"):
+            a, b = json_list(pair, "cover")
             a, b = json_int(a, "cover index"), json_int(b, "cover index")
             if not (0 <= a < p and 0 <= b < p):
                 raise ValueError(f"cover [{a}, {b}] indexes outside 0..{p - 1}")

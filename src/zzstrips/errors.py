@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check of
-the JSON readers."""
+"""Exception types shared across the package, and the structure checks
+of the JSON readers."""
 
 
 class StripParseError(ValueError):
@@ -26,3 +26,21 @@ def json_int(value: object, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def json_field(data: object, key: str) -> object:
+    """data[key] if data is an object holding key; ValueError otherwise,
+    where indexing would raise TypeError or KeyError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object with {key!r}, got {type(data).__name__}")
+    if key not in data:
+        raise ValueError(f"missing {key!r}")
+    return data[key]
+
+
+def json_list(value: object, what: str) -> list:
+    """value itself if it is a list; ValueError otherwise, where iterating
+    would raise TypeError or split a string into characters."""
+    if isinstance(value, list):
+        return value
+    raise ValueError(f"{what} must be a list, got {type(value).__name__}")

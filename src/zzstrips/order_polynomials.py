@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .dib_poset import (
@@ -27,7 +27,7 @@ from .dib_poset import (
     induced_subposets,
     natural_labeling,
 )
-from .errors import GuardExceeded, NonKekuleanError, json_int
+from .errors import GuardExceeded, NonKekuleanError, json_field, json_int, json_list
 from .extension_engine import des_fix_counts
 from .strip_geometry import StripSpec
 
@@ -109,7 +109,8 @@ class ZzPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "ZzPolynomial":
-        return cls.from_coeffs(json_int(c, "coefficient") for c in json.loads(text)["coeffs"])
+        coeffs = json_list(json_field(json.loads(text), "coeffs"), "coeffs")
+        return cls.from_coeffs(json_int(c, "coefficient") for c in coeffs)
 
 
 def strict_order_poly(poset: DibPoset, n: int) -> int:
@@ -190,6 +191,19 @@ class ClosedForm:
     p: int
     groups: tuple[tuple[int, int, int], ...]  # (des, fix, multiplicity)
 
+    def __post_init__(self) -> None:
+        # the forms closed_form builds: a poset has at least one linear
+        # extension, and evaluate_range relies on every term being
+        # nonnegative and nondecreasing in n
+        if self.p < 0 or not self.groups:
+            raise ValueError(f"a closed form needs p >= 0 and a group, got p={self.p}")
+        for des, fix, mult in self.groups:
+            if des < 0 or not 0 <= fix <= self.p or mult < 1:
+                raise ValueError(
+                    f"group (des={des}, fix={fix}, mult={mult}) outside "
+                    f"des >= 0, 0 <= fix <= {self.p}, mult >= 1"
+                )
+
     @property
     def extension_count(self) -> int:
         return sum(mult for _, _, mult in self.groups)
@@ -202,8 +216,10 @@ class ClosedForm:
 
         Each x^i coefficient is a polynomial in n of degree <= p, so its
         (p+1)-th difference vanishes. The first d + 1 values, with
-        d = min(p, hi - lo), come from evaluate; every later n costs
-        (p + 1) * d additions to their difference table.
+        d = min(p, hi - lo), come from evaluate. When more follow, the
+        difference table holds one packed int per row, each coefficient
+        in a slot of its own, and every later n costs d additions of
+        those ints plus one unpack of the p + 1 slots of the first row.
         """
         if lo < 0:
             raise ValueError("n must be nonnegative")
@@ -211,20 +227,36 @@ class ClosedForm:
 
     def _stepped(self, lo: int, hi: int) -> Iterator[ZzPolynomial]:
         d = min(self.p, hi - lo)
-        # diffs[j]: j-th backward difference of the coefficient vector,
-        # padded to p + 1 entries, at the last n yielded
-        diffs: list[list[int]] = []
+        if hi <= lo + d:
+            yield from map(self.evaluate, range(lo, hi + 1))
+            return
+        # Each coefficient is a sum of nonnegative terms that never
+        # decrease with n, so none exceeds ZZ(S_hi, 1) = sum_k z_k 2^k at
+        # hi, and slots of that many bits hold every value yielded.
+        width = sum(z << k for k, z in enumerate(_group_sum(self.p, self.groups, hi))).bit_length()
+        shifts = range(0, width * (self.p + 1), width)
+        mask = (1 << width) - 1
+        # diffs[j]: j-th backward difference of the packed coefficient
+        # vector at the last n yielded, x^i in bits width*i onwards. Its
+        # slots may be negative, but only diffs[0] is decoded and the
+        # additions are exact on the whole int.
+        diffs: list[int] = []
         for n in range(lo, lo + d + 1):
             zz = self.evaluate(n)
             yield zz
-            row = list(zz.coeffs) + [0] * (self.p + 1 - len(zz.coeffs))
+            row = sum(c << s for c, s in zip(zz.coeffs, shifts))
             for j, prev in enumerate(diffs):
-                diffs[j], row = row, list(map(sub, row, prev))
+                diffs[j], row = row, row - prev
             diffs.append(row)
+        # One step of n adds diffs[j + 1], already stepped, to diffs[j],
+        # from j = d - 1 down to 0: a running sum over the reversed table.
+        table = diffs[::-1]
         for _ in range(lo + d + 1, hi + 1):
-            for j in range(d - 1, -1, -1):
-                diffs[j] = list(map(add, diffs[j], diffs[j + 1]))
-            yield ZzPolynomial.from_coeffs(diffs[0])
+            table = list(accumulate(table))
+            packed = table[-1]
+            # n > p here, so the x^p coefficient, sum of mult * C(n + des, p),
+            # is positive: the slots carry no trailing zero to strip
+            yield ZzPolynomial(tuple([packed >> s & mask for s in shifts]))
 
     def _term_pieces(self, des: int, fix: int, mult: int, latex: bool) -> str:
         def c(top: str, bottom: str) -> str:
@@ -266,10 +298,10 @@ class ClosedForm:
     def from_json(cls, text: str) -> "ClosedForm":
         data = json.loads(text)
         return cls(
-            json_int(data["p"], "p"),
+            json_int(json_field(data, "p"), "p"),
             tuple(
-                tuple(json_int(g[key], key) for key in ("des", "fix", "mult"))
-                for g in data["groups"]
+                tuple(json_int(json_field(g, key), key) for key in ("des", "fix", "mult"))
+                for g in json_list(json_field(data, "groups"), "groups")
             ),
         )
 

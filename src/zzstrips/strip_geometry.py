@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidStripError, StripParseError
+from .errors import InvalidStripError, StripParseError, json_field, json_list
 
 SHAPE_LETTERS = ("W", "N", "R", "L")
 
@@ -61,7 +61,12 @@ class StripSpec:
     @classmethod
     def from_json(cls, text: str) -> "StripSpec":
         data = json.loads(text)
-        return cls(tuple(data["shapes"]), data["n"])
+        try:
+            shapes = json_list(json_field(data, "shapes"), "shapes")
+            n = json_field(data, "n")
+        except ValueError as exc:
+            raise StripParseError(str(exc)) from None
+        return cls(tuple(shapes), n)
 
 
 def parallelogram(tiers: int, n: int) -> StripSpec:

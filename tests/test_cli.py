@@ -130,6 +130,20 @@ class TestZzMode:
         ]
         assert out.splitlines() == expected
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    def test_n_range_across_write_blocks(self, capsys, fmt):
+        # 600 lines fill two blocks of lines and part of a third
+        code, out, err = run_cli(capsys, "zz", "--shapes", "WWWRNNN", "--n-range", "1..600",
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        singles = []
+        for n in range(1, 601):
+            single = run_cli(capsys, "zz", "--shapes", "WWWRNNN", "--length", str(n),
+                             "--format", fmt)
+            assert single[0] == 0
+            singles.append(single[1])
+        assert out == "".join(singles)
+
     def test_n_range_json_non_kekulean(self, capsys):
         code, out, err = run_cli(capsys, "zz", "--shapes", "WNNWWN", "--n-range", "4..6",
                                  "--format", "json")

@@ -334,6 +334,21 @@ class TestFromJsonIndices:
         with pytest.raises(ValueError, match="k must be an integer"):
             DibPoset.from_json(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"elements": [{"k": 1}], "covers": []}',
+            '{"elements": [[1, 1]], "covers": []}',
+            '{"elements": [{"k": 1, "j": 1}]}',
+            '{"elements": 5, "covers": []}',
+            '{"elements": [{"k": 1, "j": 1}, {"k": 2, "j": 1}], "covers": [5]}',
+            "[]",
+        ],
+    )
+    def test_malformed_structure_rejected(self, text):
+        with pytest.raises(ValueError):
+            DibPoset.from_json(text)
+
 
 class TestNonKekuleanReport:
     def test_valid_reports_list_only_non_kekulean_problems(self):

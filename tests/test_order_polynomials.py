@@ -18,6 +18,7 @@ from zzstrips import (
     closed_form,
     extended_poly_subposet_sum,
     natural_labeling,
+    parse_strip,
     zz_polynomial,
 )
 from zzstrips.extension_engine import des_fix_counts
@@ -76,6 +77,11 @@ class TestZzPolynomial:
     def test_json_rejects_non_integer_coefficients(self, coeffs):
         with pytest.raises(ValueError, match="coefficient must be an integer"):
             ZzPolynomial.from_json('{"coeffs": %s}' % coeffs)
+
+    @pytest.mark.parametrize("text", ['{"coeffs": 5}', "{}", "[6, 6, 1]"])
+    def test_json_rejects_malformed_structure(self, text):
+        with pytest.raises(ValueError):
+            ZzPolynomial.from_json(text)
 
 
 class TestStrictOrderPoly:
@@ -300,6 +306,42 @@ class TestClosedForm:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ClosedForm.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"p": 1}',
+            '{"groups": []}',
+            '{"p": 1, "groups": 5}',
+            '{"p": 1, "groups": [[0, 0, 1]]}',
+            '{"p": 1, "groups": [{"des": 0, "fix": 0}]}',
+            "[1]",
+        ],
+    )
+    def test_json_rejects_malformed_structure(self, text):
+        with pytest.raises(ValueError):
+            ClosedForm.from_json(text)
+
+    @pytest.mark.parametrize(
+        "p, groups",
+        [
+            (-1, ((0, 0, 1),)),
+            (1, ()),
+            (1, ((-1, 0, 1),)),
+            (1, ((0, -1, 1),)),
+            (1, ((0, 5, 1),)),
+            (1, ((0, 0, 0),)),
+            (1, ((0, 0, -3),)),
+            (2, ((0, 0, 1), (1, 1, -1))),
+        ],
+    )
+    def test_rejects_groups_outside_domain(self, p, groups):
+        # evaluate_range relies on nonnegative terms that never decrease in n
+        with pytest.raises(ValueError):
+            ClosedForm(p, groups)
+        data = {"p": p, "groups": [{"des": d, "fix": f, "mult": m} for d, f, m in groups]}
+        with pytest.raises(ValueError):
+            ClosedForm.from_json(json.dumps(data))
+
 
 def _weak_maps(poset, n):
     """Brute-force count of the weakly order-preserving maps into {1, .., n}."""
@@ -364,3 +406,40 @@ class TestEvaluateRange:
             cf.evaluate(-1)
         with pytest.raises(ValueError):
             cf.evaluate_range(-1, 3)
+
+    @pytest.mark.parametrize(
+        "strip",
+        [
+            "WRN 8",
+            "WRRRRRRRRN 4",
+            "WWRNN 20",
+            "WWWRNNN 3",
+            "WWWRNNN 20",
+            "WWWNWNNN 3",
+            "WWWRRRNNN 3",
+            "WWWWRNNNN 3",
+        ],
+    )
+    def test_packed_table_equals_evaluate(self, strip):
+        # slots from a few bits wide at small n to hundreds of bits at
+        # n = 10**12 and p = 20
+        cf = closed_form(parse_strip(strip))
+        p = cf.p
+        for lo, hi in ((0, 3 * p), (1, 400), (10**12, 10**12 + 2 * p)):
+            assert list(cf.evaluate_range(lo, hi)) == [
+                cf.evaluate(n) for n in range(lo, hi + 1)
+            ]
+
+    def test_single_n_evaluates_once(self, monkeypatch):
+        # a one-n request pays for no slot width
+        cf = closed_form(StripSpec(tuple("WWWRNNN"), 3))
+        calls = []
+        evaluate = ClosedForm.evaluate
+
+        def counting(self, n):
+            calls.append(n)
+            return evaluate(self, n)
+
+        monkeypatch.setattr(ClosedForm, "evaluate", counting)
+        assert list(cf.evaluate_range(7, 7)) == [evaluate(cf, 7)]
+        assert calls == [7]

@@ -60,6 +60,14 @@ class TestParse:
         with pytest.raises(StripParseError, match="positive integer"):
             StripSpec.from_json('{"shapes": ["W", "N"], "n": %s}' % n)
 
+    @pytest.mark.parametrize(
+        "text", ["[1]", '{"shapes": "WN", "n": 2}', '{"n": 2}', '{"shapes": ["W", "N"]}']
+    )
+    def test_json_rejects_malformed_structure(self, text):
+        # a string of letters is not split into shapes
+        with pytest.raises(StripParseError):
+            StripSpec.from_json(text)
+
     @pytest.mark.parametrize("n", [True, 2.0, "3"])
     def test_constructor_rejects_non_int_n(self, n):
         with pytest.raises(StripParseError):
