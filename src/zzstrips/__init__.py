@@ -14,11 +14,7 @@ from .dib_poset import (
     natural_labeling,
 )
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
-from .extension_engine import (
-    LinearExtensionRecord,
-    extension_records,
-    linear_extensions,
-)
+from .extension_engine import LinearExtensionRecord, extension_records
 from .kekule_bijection import (
     ClarCoverRecord,
     KekuleAssignment,
@@ -96,7 +92,6 @@ __all__ = [
     "interface_profile",
     "iter_clar_covers",
     "kekule_from_map",
-    "linear_extensions",
     "map_from_kekule",
     "natural_labeling",
     "parse_strip",

@@ -25,7 +25,7 @@ import sys
 
 from .dib_poset import build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
-from .extension_engine import iter_extension_records
+from .extension_engine import extension_records
 from .kekule_bijection import BLOCK_BITS, kekule_groups, subset_blocks
 from .order_polynomials import ZzPolynomial, closed_form, zz_polynomial
 from .oracle import count_clar_covers, count_sextet_matchings
@@ -188,7 +188,7 @@ def _word_str(word) -> str:
 def _run_extensions(args: argparse.Namespace) -> int:
     poset = build_poset(_spec(args))
     labeling = natural_labeling(poset)
-    for rec in iter_extension_records(poset, labeling):
+    for rec in extension_records(poset, labeling):
         if args.fmt == "json":
             print(json.dumps({
                 "word": list(rec.word),

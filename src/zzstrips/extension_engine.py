@@ -6,10 +6,13 @@ a descent, or when the largest position of a preceding larger label
 beats the largest position of a label that is forced below it in the
 poset (max over the empty forced set counting as 0).
 
-The (des, fix) tally that the closed form needs comes from a DP over
-the order ideals of the poset (Stanley, *EC1* 3.5: the extensions are
-the maximal chains of that lattice), not from the walk, which is kept
-for listing the extensions themselves.
+The extensions are listed one way, by ``extension_records``, which
+streams them from a walk that carries both statistics along each prefix
+in O(p) memory. The (des, fix) tally that the closed form needs comes
+from a DP over the order ideals of the poset (Stanley, *EC1* 3.5: the
+extensions are the maximal chains of that lattice), not from the walk.
+The word-by-word definition of the fixed labels, which both are tested
+against, lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -117,12 +120,6 @@ def _walk(poset: DibPoset, labeling: NaturalLabeling) -> Iterator[tuple[list[int
         fixed[d] = n_fixed
 
 
-def linear_extensions(poset: DibPoset, labeling: NaturalLabeling) -> list[Word]:
-    """All extensions as label words, in lexicographic order; the empty
-    poset yields one empty word."""
-    return [tuple(word) for word, _, _ in _walk(poset, labeling)]
-
-
 def des_fix_counts(poset: DibPoset, labeling: NaturalLabeling) -> dict[tuple[int, int], int]:
     """Number of extensions with each (des, fix) pair, without visiting
     the extensions one by one.
@@ -213,48 +210,12 @@ def descent_stats(word: Word) -> tuple[frozenset[int], int]:
     return descents, len(descents)
 
 
-def _check_extension(word: Word, poset: DibPoset, labeling: NaturalLabeling) -> dict[int, int]:
-    if sorted(word) != list(range(1, poset.p + 1)):
-        raise ValueError(f"word {word} is not a permutation of 1..{poset.p}")
-    position = {lbl: i for i, lbl in enumerate(word, start=1)}
-    for a, b in poset.covers:
-        if position[labeling.label_of(a)] > position[labeling.label_of(b)]:
-            raise ValueError(f"word {word} violates {a} < {b}")
-    return position
-
-
-def fixed_labels(
-    word: Word, poset: DibPoset, labeling: NaturalLabeling
-) -> tuple[frozenset[int], int]:
-    """Fixed labels of an extension word, and their count."""
-    position = _check_extension(word, poset, labeling)
-    descents, _ = descent_stats(word)
-    fixed = set()
-    for i, label in enumerate(word, start=1):
-        if i - 1 in descents or i in descents:
-            fixed.add(label)
-            continue
-        preceding_larger = [l for l in range(1, i) if word[l - 1] > label]
-        if not preceding_larger:
-            continue
-        element = labeling.element_of(label)
-        forced_below = [position[labeling.label_of(e)] for e in poset.below(element)]
-        if max(preceding_larger) > max(forced_below, default=0):
-            fixed.add(label)
-    return frozenset(fixed), len(fixed)
-
-
-def iter_extension_records(
+def extension_records(
     poset: DibPoset, labeling: NaturalLabeling
 ) -> Iterator[LinearExtensionRecord]:
-    """The records of ``extension_records``, streamed one by one."""
+    """Every extension as a record of its word, descent positions and
+    fixed labels, streamed in lexicographic order of the words."""
     for word, _, fixed in _walk(poset, labeling):
         descents, _ = descent_stats(word)
         labels = frozenset(l for l in range(1, len(word) + 1) if fixed >> (l - 1) & 1)
         yield LinearExtensionRecord(tuple(word), descents, labels)
-
-
-def extension_records(
-    poset: DibPoset, labeling: NaturalLabeling
-) -> list[LinearExtensionRecord]:
-    return list(iter_extension_records(poset, labeling))

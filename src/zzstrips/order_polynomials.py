@@ -7,9 +7,10 @@ through ``des_fix_counts``, and ``zz_polynomial`` evaluates that form at
 the strip's n. ``extended_poly_subposet_sum`` is the oracle: the
 definitional sum of strict order polynomials over all induced
 subposets, which must agree exactly with the closed formula. The
-brute-force strict maps and the proper-sextet coefficients by subposet
-sums are test references and live in ``tests/reference.py``. All
-arithmetic is exact integer arithmetic.
+brute-force strict maps, the proper-sextet coefficients by subposet
+sums and the extension formula summed term by term are test references
+and live in ``tests/reference.py``. All arithmetic is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .dib_poset import (
     DibPoset,
-    NaturalLabeling,
     build_poset,
     induced_subposets,
     natural_labeling,
@@ -132,15 +132,6 @@ def extended_poly_subposet_sum(
     for sub in induced_subposets(poset):
         coeffs[sub.p] += strict_order_poly(sub, n)
     return tuple(coeffs)
-
-
-def extended_poly_extension_formula(
-    poset: DibPoset, labeling: NaturalLabeling, n: int
-) -> tuple[int, ...]:
-    """E(n, z) from the linear extensions of the full poset, evaluated
-    once per (des, fix) group."""
-    counts = des_fix_counts(poset, labeling)
-    return _group_sum(poset.p, ((d, f, m) for (d, f), m in counts.items()), n)
 
 
 def _group_sum(p: int, groups: Iterable[tuple[int, int, int]], n: int) -> tuple[int, ...]:

@@ -30,7 +30,6 @@ from zzstrips import (
     zz_polynomial,
 )
 from zzstrips.extension_engine import descent_stats
-from zzstrips.order_polynomials import extended_poly_extension_formula
 
 from conftest import (
     all_strips,
@@ -39,7 +38,7 @@ from conftest import (
     fence_poset,
     random_natural_labeling,
 )
-from reference import binom
+from reference import binom, extended_poly_extension_formula
 
 
 def _report(number: int, name: str, ok: bool) -> None:
@@ -78,7 +77,7 @@ def test_criterion_2_parallelogram_family():
 def test_criterion_3_hexagonal_flake_family():
     poset = build_poset(StripSpec(tuple("WWRNN"), 3))
     labeling = natural_labeling(poset)
-    records = extension_records(poset, labeling)
+    records = list(extension_records(poset, labeling))
     ok = poset.p == 6
     ok = ok and len(poset.covers) == 7
     ok = ok and len(records) == 5

@@ -18,7 +18,7 @@ from zzstrips import (
     natural_labeling,
     zz_polynomial,
 )
-from zzstrips.extension_engine import descent_stats, linear_extensions
+from zzstrips.extension_engine import descent_stats
 from zzstrips.kekule_bijection import (
     BLOCK_BITS,
     KekuleAssignment,
@@ -27,7 +27,7 @@ from zzstrips.kekule_bijection import (
     subset_blocks,
 )
 
-from reference import binom, brute_force_strict_maps
+from reference import binom, brute_force_strict_maps, linear_extensions
 
 
 PARA = StripSpec(tuple("WRN"), 2)

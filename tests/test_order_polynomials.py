@@ -22,11 +22,7 @@ from zzstrips import (
     zz_polynomial,
 )
 from zzstrips.extension_engine import des_fix_counts
-from zzstrips.order_polynomials import (
-    ClosedForm,
-    extended_poly_extension_formula,
-    strict_order_poly,
-)
+from zzstrips.order_polynomials import ClosedForm, strict_order_poly
 from zzstrips.strip_geometry import catalog_shapes
 
 from conftest import (
@@ -36,7 +32,12 @@ from conftest import (
     fence_poset,
     random_natural_labeling,
 )
-from reference import a_coefficients, binom, brute_force_strict_maps
+from reference import (
+    a_coefficients,
+    binom,
+    brute_force_strict_maps,
+    extended_poly_extension_formula,
+)
 
 
 class TestBinom:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import zzstrips
+import zzstrips.extension_engine
 import zzstrips.order_polynomials
 
 
@@ -31,7 +32,22 @@ def test_all_equals_the_bound_names():
     assert set(zzstrips.__all__) == _bound_public_names()
 
 
-@pytest.mark.parametrize("name", ["binom", "a_coefficients", "brute_force_strict_maps"])
-@pytest.mark.parametrize("module", [zzstrips, zzstrips.order_polynomials], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "name",
+    [
+        "binom",
+        "a_coefficients",
+        "brute_force_strict_maps",
+        "linear_extensions",
+        "iter_extension_records",
+        "fixed_labels",
+        "extended_poly_extension_formula",
+    ],
+)
+@pytest.mark.parametrize(
+    "module",
+    [zzstrips, zzstrips.order_polynomials, zzstrips.extension_engine],
+    ids=lambda m: m.__name__,
+)
 def test_test_references_stay_out_of_the_package(module, name):
     assert not hasattr(module, name)
