@@ -18,16 +18,16 @@ against, lives in ``tests/reference.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .dib_poset import DibPoset, NaturalLabeling
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LinearExtensionRecord:
+class LinearExtensionRecord(NamedTuple):
+    """A named tuple: sorts, iterates, equals and hashes like its fields."""
+
     word: Word
     descents: frozenset[int]
     fixed: frozenset[int]

@@ -25,9 +25,8 @@ at once in bounded memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, ge, itemgetter
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .dib_poset import Dib, DibPoset, _bits, build_poset
 from .strip_geometry import StripSpec
@@ -35,19 +34,22 @@ from .strip_geometry import StripSpec
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class OrderMap:
-    """Subposet A plus a strictly order-preserving map A -> [n]."""
+class OrderMap(
+    NamedTuple("OrderMap", [("elements", tuple[Dib, ...]), ("values", tuple[int, ...])])
+):
+    """Subposet A plus a strictly order-preserving map A -> [n]. A named
+    tuple: sorts, iterates, equals and hashes like (elements, values);
+    _make and _replace skip the constructor's checks."""
 
-    elements: tuple[Dib, ...]
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.elements) != len(self.values):
+    def __new__(cls, elements: tuple[Dib, ...], values: tuple[int, ...]) -> "OrderMap":
+        if len(elements) != len(values):
             raise ValueError("elements and values must align")
         # strictly ascending: a repeated element would stand for no subset
-        if any(map(ge, self.elements, self.elements[1:])):
+        if any(map(ge, elements, elements[1:])):
             raise ValueError("elements must be distinct and in canonical (k, j) order")
+        return super().__new__(cls, elements, values)
 
     def value_of(self, element: Dib) -> int:
         return self.values[self.elements.index(element)]
@@ -60,10 +62,9 @@ class OrderMap:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class KekuleAssignment:
-    """Position of every DIB: the double bond of s(k, j) is the
-    pos-th interface bond of interface k."""
+class KekuleAssignment(NamedTuple):
+    """Position of every DIB: the double bond of s(k, j) is the pos-th
+    interface bond of interface k. Equals and hashes like its fields' tuple."""
 
     elements: tuple[Dib, ...]
     positions: tuple[int, ...]
@@ -77,10 +78,10 @@ class KekuleAssignment:
         return frozenset((e.k, p) for e, p in zip(self.elements, self.positions))
 
 
-@dataclass(frozen=True)
-class ClarCoverRecord:
+class ClarCoverRecord(NamedTuple):
     """A Kekule structure with a chosen subset of its proper sextets
-    promoted to aromatic rings; order_map is the structure's (A, mu)."""
+    promoted to aromatic rings; order_map is the structure's (A, mu). A
+    named tuple: sorts, iterates, equals and hashes like its fields' tuple."""
 
     base: KekuleAssignment
     aromatic: tuple[Dib, ...]

@@ -22,8 +22,7 @@ count of each matching must equal the size of its domain A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .dib_poset import Dib
 from .kekule_bijection import KekuleAssignment
@@ -33,10 +32,10 @@ from .strip_geometry import BenzenoidGraph, Edge
 Matching = frozenset  # of Edge
 
 
-@dataclass(frozen=True)
-class ExplicitClarCover:
+class ExplicitClarCover(NamedTuple):
     """Aromatic hexagons (by index into graph.hexagons) plus a perfect
-    matching of the remaining vertices."""
+    matching of the remaining vertices. A named tuple: sorts, iterates,
+    equals and hashes like (hexagons, matching)."""
 
     hexagons: tuple[int, ...]
     matching: Matching

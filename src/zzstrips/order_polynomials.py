@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .dib_poset import (
     DibPoset,
@@ -34,13 +33,12 @@ from .strip_geometry import StripSpec
 DEFAULT_SUBSET_GUARD = 20
 
 
-@dataclass(frozen=True)
-class ZzPolynomial:
+class ZzPolynomial(NamedTuple):
     """Exact integer polynomial in x, coefficients stored ascending.
 
     The empty tuple is the zero polynomial; otherwise the trailing
-    coefficient is nonzero.
-    """
+    coefficient is nonzero. A named tuple: sorts, iterates, equals and
+    hashes like the plain tuple (coeffs,)."""
 
     coeffs: tuple[int, ...]
 
@@ -170,30 +168,32 @@ def zz_polynomial(spec: StripSpec) -> ZzPolynomial:
     return form.evaluate(spec.n)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(
+    NamedTuple("ClosedForm", [("p", int), ("groups", tuple[tuple[int, int, int], ...])])
+):
     """Binomial closed form of the ZZ polynomial, with n left symbolic.
 
     Linear extensions are grouped by their (descent count, fixed count)
-    pair; each group contributes
-    mult * C(p - fix, k - fix) * C(n + des, k) * (1 + x)^k.
-    """
+    pair; each (des, fix, mult) of groups contributes
+    mult * C(p - fix, k - fix) * C(n + des, k) * (1 + x)^k. A named
+    tuple: sorts, iterates, equals and hashes like (p, groups); _make
+    and _replace skip the constructor's checks."""
 
-    p: int
-    groups: tuple[tuple[int, int, int], ...]  # (des, fix, multiplicity)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, p: int, groups: tuple[tuple[int, int, int], ...]) -> "ClosedForm":
         # the forms closed_form builds: a poset has at least one linear
         # extension, and evaluate_range relies on every term being
         # nonnegative and nondecreasing in n
-        if self.p < 0 or not self.groups:
-            raise ValueError(f"a closed form needs p >= 0 and a group, got p={self.p}")
-        for des, fix, mult in self.groups:
-            if des < 0 or not 0 <= fix <= self.p or mult < 1:
+        if p < 0 or not groups:
+            raise ValueError(f"a closed form needs p >= 0 and a group, got p={p}")
+        for des, fix, mult in groups:
+            if des < 0 or not 0 <= fix <= p or mult < 1:
                 raise ValueError(
                     f"group (des={des}, fix={fix}, mult={mult}) outside "
-                    f"des >= 0, 0 <= fix <= {self.p}, mult >= 1"
+                    f"des >= 0, 0 <= fix <= {p}, mult >= 1"
                 )
+        return super().__new__(cls, p, groups)
 
     @property
     def extension_count(self) -> int:

@@ -17,7 +17,7 @@ Adjacent tiers share the zigzag of vertices between them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidStripError, StripParseError, json_field, json_list
 
@@ -35,20 +35,21 @@ FIRST_BOND_LOWER = frozenset({"W", "L"})
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class StripSpec:
-    """Shape sequence plus length; the sole input defining a strip."""
+class StripSpec(NamedTuple("StripSpec", [("shapes", tuple[str, ...]), ("n", int)])):
+    """Shape sequence plus length; the sole input defining a strip. A
+    named tuple: sorts, iterates, equals and hashes like (shapes, n).
+    _make and _replace skip the constructor's checks and tuple(shapes)."""
 
-    shapes: tuple[str, ...]
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shapes", tuple(self.shapes))
-        for letter in self.shapes:
+    def __new__(cls, shapes: Iterable[str], n: int) -> "StripSpec":
+        shapes = tuple(shapes)
+        for letter in shapes:
             if letter not in SHAPE_LETTERS:
                 raise StripParseError(f"unknown shape letter {letter!r}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise StripParseError(f"strip length must be a positive integer, got {self.n!r}")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise StripParseError(f"strip length must be a positive integer, got {n!r}")
+        return super().__new__(cls, shapes, n)
 
     @property
     def m(self) -> int:
@@ -99,9 +100,9 @@ def parse_strip(text: str) -> StripSpec:
     return StripSpec(tuple(head), n)
 
 
-@dataclass(frozen=True)
-class InterfaceProfile:
-    """Sizes and orders of the interfaces i_1 .. i_m."""
+class InterfaceProfile(NamedTuple):
+    """Sizes and orders of the interfaces i_1 .. i_m. A named tuple:
+    sorts, iterates, equals and hashes like (n, sizes, orders)."""
 
     n: int
     sizes: tuple[int, ...]
@@ -138,9 +139,9 @@ def interface_profile(spec: StripSpec) -> InterfaceProfile:
     return InterfaceProfile(spec.n, tuple(sizes), tuple(orders))
 
 
-@dataclass(frozen=True)
-class FragmentInfo:
-    """One fragment of the strip and where its leftmost interface bond lives."""
+class FragmentInfo(NamedTuple):
+    """One fragment of the strip and where its leftmost interface bond lives.
+    Equals and hashes like its fields' tuple; index shadows tuple.index."""
 
     index: int
     shape: str
@@ -157,9 +158,9 @@ def fragment_info(spec: StripSpec) -> tuple[FragmentInfo, ...]:
     return tuple(infos)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Structural pass/fail flags; never raised, always reported."""
+class ValidationReport(NamedTuple):
+    """Structural pass/fail flags; never raised, always reported. A named
+    tuple: sorts, iterates, equals and hashes like its fields' tuple."""
 
     first_shape_wide: bool
     last_shape_narrow: bool
@@ -276,14 +277,13 @@ def tier_offsets(spec: StripSpec) -> tuple[int, ...]:
     return tuple(offsets)
 
 
-@dataclass(frozen=True)
-class Hexagon:
+class Hexagon(NamedTuple):
     """One lattice hexagon: six vertices and six edges in cyclic order.
 
     Vertices run apex, upper-left, lower-left, bottom, lower-right,
     upper-right; edges run NW slant, left vertical, SW slant, SE slant,
-    right vertical, NE slant.
-    """
+    right vertical, NE slant. A named tuple: sorts, iterates, equals and
+    hashes like its fields' tuple; the field index shadows tuple.index."""
 
     tier: int
     index: int

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zzstrips import (
     DibPoset,
@@ -19,7 +23,7 @@ from zzstrips import (
     zz_from_covers,
     zz_polynomial,
 )
-from zzstrips.cli import catalog_shapes, main
+from zzstrips.cli import MODES, catalog_shapes, main
 from zzstrips.strip_geometry import mirror_orbit
 
 
@@ -622,3 +626,82 @@ class TestOracleDisagreement:
         data = json.loads(out)
         assert data["agree"] is False
         assert data["covers"] == {"coeffs": [7, 6, 1]}
+
+
+# Generated argv for the exit-code contract. Every number that could
+# parse stays at most 3 and every letter run at most 6 long, so no
+# request lists much; "\u0663" is a digit three that int() accepts.
+_NUMBERS = st.one_of(
+    st.sampled_from(["1", "2", "3"]),
+    st.sampled_from(["0", "-1", "x", "2.5", "", " 3", "1e2", "\u0663"]),
+)
+_JUNK_LETTERS = st.lists(st.sampled_from(list("WNRLwnrl") + ["X", "1", " ", "-", "M"]), max_size=6)
+_SHAPES = st.one_of(
+    st.sampled_from(["".join(s) for s in catalog_shapes(5, dedup=False)]),
+    _JUNK_LETTERS.map("".join),
+)
+_STRIP_TEXT = st.one_of(
+    st.builds("{} {}".format, _SHAPES, _NUMBERS),
+    st.builds("M {} {}".format, st.sampled_from(["0", "1", "2", "4", "x", "-1"]), _NUMBERS),
+    _SHAPES,
+)
+_N_RANGES = st.sampled_from(
+    ["1..3", "2..3", "1..1", "3..1", "0..2", "-1..2", "a..b", "1...3", "..", "2", "1..2..3", " 1..2"]
+)
+
+
+def _maybe(draw, chance: int) -> bool:
+    """True about once in chance draws (the shrink target is False)."""
+    return draw(st.integers(1, chance)) == chance
+
+
+@st.composite
+def _argv(draw):
+    mode = draw(st.sampled_from(list(MODES)))
+    groups = []
+    if mode == "catalog":
+        if not _maybe(draw, 8):
+            groups.append(["--tiers", draw(st.sampled_from(["-1", "0", "1", "2", "3", "4", "x"]))])
+        if _maybe(draw, 2):
+            groups.append(["--no-dedup"])
+        if _maybe(draw, 2):
+            groups.append(["--length", draw(_NUMBERS)])
+    else:
+        source = draw(st.sampled_from(["text", "shapes"]))
+        if _maybe(draw, 6):
+            source = draw(st.sampled_from(["file", "both", "none"]))
+        if source in ("text", "both"):
+            groups.append([draw(_STRIP_TEXT)])
+        if source in ("shapes", "both"):
+            groups.append(["--shapes", draw(_SHAPES)])
+        if source == "file":
+            groups.append(["--file", "no-such-strip-file.txt"])
+        if _maybe(draw, 1 if source == "shapes" else 8):
+            groups.append(["--length", draw(_NUMBERS)])
+    if mode == "zz" and _maybe(draw, 2):
+        groups.append(["--n-range", draw(_N_RANGES)])
+    if mode == "oracle" and _maybe(draw, 2):
+        groups.append(["--max-vertices", draw(st.sampled_from(["-1", "0", "10", "66", "x"]))])
+    if _maybe(draw, 3):
+        groups.append(["--format", draw(st.sampled_from(["text", "json", "latex", "dot", "csv"]))])
+    if _maybe(draw, 10):
+        groups.append([draw(st.sampled_from(["--bogus", "-h", "extra"]))])
+    order = draw(st.permutations(groups))
+    return [mode] + [token for group in order for token in group]
+
+
+class TestExitCodeContract:
+    @settings(max_examples=300, deadline=None)
+    @given(_argv())
+    @example(["oracle", "WRN 2", "--max-vertices", "10"])
+    @example(["zz", "--shapes", "WN", "--n-range", "1..3", "--format", "latex"])
+    def test_every_argv_exits_with_a_documented_code(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        # an exception out of main fails the test here
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        # exit 1 means the oracle's routes disagreed, and it says so
+        if code == 1:
+            assert argv[0] == "oracle"
+            assert "DIFF: MISMATCH" in out.getvalue() or '"agree": false' in out.getvalue()

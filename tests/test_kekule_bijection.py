@@ -85,6 +85,15 @@ class TestOrderMapChecks:
         with pytest.raises(ValueError, match="distinct"):
             OrderMap((Dib(1, 1), Dib(1, 1)), (1, 2))
 
+    @pytest.mark.parametrize("elements, values, message", [
+        ((Dib(1, 1), Dib(2, 1)), (1,), "align"),
+        ((Dib(2, 1), Dib(1, 1)), (1, 2), "canonical"),
+        ((Dib(1, 1), Dib(1, 1)), (1, 2), "distinct"),
+    ])
+    def test_keyword_construction_checks(self, elements, values, message):
+        with pytest.raises(ValueError, match=message):
+            OrderMap(elements=elements, values=values)
+
     def test_enumerated_maps_equal_checked_ones(self, small_catalog):
         # enumerate_kekule checks each subset once and builds its maps
         # without the per-map check; they must be the maps the checked

@@ -339,6 +339,8 @@ class TestClosedForm:
         # evaluate_range relies on nonnegative terms that never decrease in n
         with pytest.raises(ValueError):
             ClosedForm(p, groups)
+        with pytest.raises(ValueError):
+            ClosedForm(p=p, groups=groups)
         data = {"p": p, "groups": [{"des": d, "fix": f, "mult": m} for d, f, m in groups]}
         with pytest.raises(ValueError):
             ClosedForm.from_json(json.dumps(data))

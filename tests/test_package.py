@@ -1,6 +1,9 @@
 """The public surface of the package: what ``import zzstrips`` offers."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,16 @@ def test_all_equals_the_bound_names():
 )
 def test_test_references_stay_out_of_the_package(module, name):
     assert not hasattr(module, name)
+
+
+def test_cli_import_skips_the_dataclass_machinery():
+    # Every value record is a NamedTuple, so a cold CLI request pays for
+    # neither dataclasses nor the inspect module that it imports.
+    src = str(Path(zzstrips.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, zzstrips.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout == "[]\n"

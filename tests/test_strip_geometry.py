@@ -72,6 +72,16 @@ class TestParse:
     def test_constructor_rejects_non_int_n(self, n):
         with pytest.raises(StripParseError):
             StripSpec(("W", "N"), n)
+        with pytest.raises(StripParseError):
+            StripSpec(shapes=("W", "N"), n=n)
+
+    @pytest.mark.parametrize("shapes", [["W", "N"], "WN", ("W", "N")])
+    def test_constructor_stores_shapes_as_tuple(self, shapes):
+        spec = StripSpec(shapes, 2)
+        assert type(spec.shapes) is tuple and spec.shapes == ("W", "N")
+        assert spec == StripSpec(("W", "N"), 2)
+        assert hash(spec) == hash(StripSpec(("W", "N"), 2))
+        assert StripSpec(shapes=shapes, n=2) == spec
 
 
 class TestProfile:
