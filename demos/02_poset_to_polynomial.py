@@ -33,7 +33,7 @@ print("   ", ", ".join(f"s({e.k},{e.j})->{i}" for i, e in
                        enumerate(labeling.elements_by_label, start=1)))
 
 print("\nlinear extensions with their statistics:")
-for rec in extension_records(poset, labeling):
+for rec in extension_records(labeling):
     word = "".join(str(w) for w in rec.word)
     print(f"    {word}  des={rec.des}  fix={rec.fix}")
 

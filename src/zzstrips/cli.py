@@ -173,9 +173,9 @@ def _run_poset(args: argparse.Namespace) -> int:
         print(poset.to_dot())
     else:
         print(f"p = {poset.p}")
-        print("elements: " + ", ".join(f"s({e.k},{e.j})" for e in poset.elements))
+        print("elements: " + ", ".join(map(repr, poset.elements)))
         for a, b in poset.covers:
-            print(f"s({a.k},{a.j}) < s({b.k},{b.j})")
+            print(f"{a!r} < {b!r}")
     return 0
 
 
@@ -186,9 +186,7 @@ def _word_str(word) -> str:
 
 
 def _run_extensions(args: argparse.Namespace) -> int:
-    poset = build_poset(_spec(args))
-    labeling = natural_labeling(poset)
-    for rec in extension_records(poset, labeling):
+    for rec in extension_records(natural_labeling(build_poset(_spec(args)))):
         if args.fmt == "json":
             print(json.dumps({
                 "word": list(rec.word),

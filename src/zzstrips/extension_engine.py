@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, NamedTuple
 
-from .dib_poset import DibPoset, NaturalLabeling
+from .dib_poset import NaturalLabeling
 
 Word = tuple[int, ...]
 
@@ -41,16 +41,7 @@ class LinearExtensionRecord(NamedTuple):
         return len(self.fixed)
 
 
-def _cover_lists(
-    poset: DibPoset, labeling: NaturalLabeling
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Lower and upper covers of each element, indexed by label - 1."""
-    if labeling.poset is not poset and labeling.poset != poset:
-        raise ValueError("labeling does not belong to this poset")
-    return labeling.lower_covers, labeling.upper_covers
-
-
-def _walk(poset: DibPoset, labeling: NaturalLabeling) -> Iterator[tuple[list[int], int, int]]:
+def _walk(labeling: NaturalLabeling) -> Iterator[tuple[list[int], int, int]]:
     """Walk the extensions in lexicographic order, one at a time.
 
     Yields (word, des, fixed) per extension: the word of labels 1..p,
@@ -62,8 +53,8 @@ def _walk(poset: DibPoset, labeling: NaturalLabeling) -> Iterator[tuple[list[int
     fixed when a larger label follows the last of its lower covers.
     Memory stays O(p); the empty poset yields one empty word.
     """
-    lower, upper = _cover_lists(poset, labeling)
-    p = poset.p
+    lower, upper = labeling.lower_covers, labeling.upper_covers
+    p = labeling.p
     if p == 0:
         yield [], 0, 0
         return
@@ -120,7 +111,7 @@ def _walk(poset: DibPoset, labeling: NaturalLabeling) -> Iterator[tuple[list[int
         fixed[d] = n_fixed
 
 
-def des_fix_counts(poset: DibPoset, labeling: NaturalLabeling) -> dict[tuple[int, int], int]:
+def des_fix_counts(labeling: NaturalLabeling) -> dict[tuple[int, int], int]:
     """Number of extensions with each (des, fix) pair, without visiting
     the extensions one by one.
 
@@ -151,8 +142,8 @@ def des_fix_counts(poset: DibPoset, labeling: NaturalLabeling) -> dict[tuple[int
     prefixes of length d, at most p!/(p - d)! <= p!, and a slot of the
     result counts extensions, at most p!.
     """
-    lower, upper = _cover_lists(poset, labeling)
-    p = poset.p
+    lower, upper = labeling.lower_covers, labeling.upper_covers
+    p = labeling.p
     needs = [sum(1 << a for a in below) for below in lower]
     width = math.factorial(p).bit_length()
     des_shift = width * (p + 2)
@@ -210,12 +201,10 @@ def descent_stats(word: Word) -> tuple[frozenset[int], int]:
     return descents, len(descents)
 
 
-def extension_records(
-    poset: DibPoset, labeling: NaturalLabeling
-) -> Iterator[LinearExtensionRecord]:
+def extension_records(labeling: NaturalLabeling) -> Iterator[LinearExtensionRecord]:
     """Every extension as a record of its word, descent positions and
     fixed labels, streamed in lexicographic order of the words."""
-    for word, _, fixed in _walk(poset, labeling):
+    for word, _, fixed in _walk(labeling):
         descents, _ = descent_stats(word)
         labels = frozenset(l for l in range(1, len(word) + 1) if fixed >> (l - 1) & 1)
         yield LinearExtensionRecord(tuple(word), descents, labels)

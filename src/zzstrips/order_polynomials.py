@@ -115,7 +115,7 @@ def strict_order_poly(poset: DibPoset, n: int) -> int:
     """Number of strictly order-preserving maps into {1, .., n}."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    counts = des_fix_counts(poset, natural_labeling(poset))
+    counts = des_fix_counts(natural_labeling(poset))
     return sum(mult * math.comb(n + des, poset.p) for (des, _), mult in counts.items())
 
 
@@ -300,6 +300,6 @@ class ClosedForm(
 def closed_form(spec: StripSpec) -> ClosedForm:
     """Group the linear extensions by (des, fix) into the symbolic form."""
     poset = build_poset(spec)
-    counts = des_fix_counts(poset, natural_labeling(poset))
+    counts = des_fix_counts(natural_labeling(poset))
     groups = tuple((d, f, counts[(d, f)]) for d, f in sorted(counts))
     return ClosedForm(poset.p, groups)

@@ -347,19 +347,17 @@ class BenzenoidGraph:
             edge_set.update(cyc)
             hexagons.append(Hexagon(k, idx, ids, tuple(cyc)))
 
+        # interface k: the left vertical of each hexagon of tier k, then
+        # the right vertical of the last one
         interface_bonds = []
-        interface_of: dict[Edge, tuple[int, int]] = {}
         for k in range(1, profile.m + 1):
-            x0 = self.offsets[k - 1]
-            bonds = []
-            for p in range(1, profile.size(k) + 1):
-                x = x0 + 2 * (p - 1)
-                u = vertex_id[(x, 2 * k - 1)]
-                v = vertex_id[(x, 2 * k)]
-                edge = (u, v) if u < v else (v, u)
-                bonds.append(edge)
-                interface_of[edge] = (k, p)
-            interface_bonds.append(tuple(bonds))
+            tier = [h for h in hexagons if h.tier == k]
+            interface_bonds.append(tuple(h.left_vertical for h in tier) + (tier[-1].right_vertical,))
+        interface_of = {
+            edge: (k, p)
+            for k, bonds in enumerate(interface_bonds, start=1)
+            for p, edge in enumerate(bonds, start=1)
+        }
 
         adjacency: dict[int, list[int]] = {i: [] for i in range(len(coords))}
         for u, v in edge_set:

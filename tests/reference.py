@@ -74,7 +74,7 @@ def a_coefficients(spec: StripSpec, max_p: int = DEFAULT_SUBSET_GUARD) -> tuple[
 def linear_extensions(poset: DibPoset, labeling: NaturalLabeling) -> list[Word]:
     """All extensions as label words, in lexicographic order; the empty
     poset yields one empty word."""
-    return [r.word for r in extension_records(poset, labeling)]
+    return [r.word for r in extension_records(labeling)]
 
 
 def _check_extension(word: Word, poset: DibPoset, labeling: NaturalLabeling) -> dict[int, int]:
@@ -116,7 +116,7 @@ def extended_poly_extension_formula(
     if n < 0:
         raise ValueError("n must be nonnegative")
     p = poset.p
-    counts = des_fix_counts(poset, labeling)
+    counts = des_fix_counts(labeling)
     return tuple(
         sum(
             mult * math.comb(p - fix, k - fix) * math.comb(n + des, k)

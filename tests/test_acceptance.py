@@ -77,7 +77,7 @@ def test_criterion_2_parallelogram_family():
 def test_criterion_3_hexagonal_flake_family():
     poset = build_poset(StripSpec(tuple("WWRNN"), 3))
     labeling = natural_labeling(poset)
-    records = list(extension_records(poset, labeling))
+    records = list(extension_records(labeling))
     ok = poset.p == 6
     ok = ok and len(poset.covers) == 7
     ok = ok and len(records) == 5

@@ -9,6 +9,7 @@ from zzstrips import (
     Dib,
     DibPoset,
     InvalidStripError,
+    NaturalLabeling,
     NonKekuleanError,
     StripSpec,
     build_poset,
@@ -97,6 +98,17 @@ class TestBuildPoset:
         with pytest.raises(ValueError):
             DibPoset([a, b], [(a, b), (b, a)])
 
+    @pytest.mark.parametrize(
+        "cover, message",
+        [
+            ((Dib(1, 1), Dib(9, 9)), "unknown element"),
+            ((Dib(1, 1), Dib(1, 1)), "reflexive cover"),
+        ],
+    )
+    def test_malformed_cover_rejected(self, cover, message):
+        with pytest.raises(ValueError, match=message):
+            DibPoset([Dib(1, 1), Dib(2, 1)], [cover])
+
 
 class TestSubposets:
     def test_power_set_sizes(self):
@@ -153,6 +165,12 @@ class TestNaturalLabeling:
 
         with pytest.raises(ValueError):
             NaturalLabeling(poset, (Dib(2, 1), Dib(1, 1)))
+
+    @pytest.mark.parametrize("by_label", [(Dib(1, 1), Dib(1, 1)), (Dib(1, 1),)])
+    def test_rejects_non_bijection(self, by_label):
+        poset = build_poset(StripSpec(tuple("WRN"), 2))
+        with pytest.raises(ValueError, match="bijection"):
+            NaturalLabeling(poset, by_label)
 
 
 class TestSerialization:

@@ -106,7 +106,7 @@ class TestFixedLabels:
         assert fixed == frozenset() and fix == 0
 
     def test_flake_fix_multiset(self):
-        records = list(extension_records(FLAKE_POSET, natural_labeling(FLAKE_POSET)))
+        records = list(extension_records(natural_labeling(FLAKE_POSET)))
         assert sorted(r.fix for r in records) == [0, 2, 2, 2, 4]
         assert sorted(r.des for r in records) == [0, 1, 1, 1, 2]
 
@@ -122,7 +122,7 @@ class TestFixedLabels:
         for spec in small_catalog:
             poset = build_poset(spec)
             lab = natural_labeling(poset)
-            for rec in extension_records(poset, lab):
+            for rec in extension_records(lab):
                 for i in rec.descents:
                     assert rec.word[i - 1] in rec.fixed
                     assert rec.word[i] in rec.fixed
@@ -139,11 +139,11 @@ class TestFixedLabels:
         rng = random.Random(20210308)
         for spec in small_catalog:
             poset = build_poset(spec)
-            base = extension_records(poset, natural_labeling(poset))
+            base = extension_records(natural_labeling(poset))
             base_stats = sorted((r.des, r.fix) for r in base)
             for _ in range(3):
                 lab = random_natural_labeling(poset, rng)
-                stats = sorted((r.des, r.fix) for r in extension_records(poset, lab))
+                stats = sorted((r.des, r.fix) for r in extension_records(lab))
                 assert stats == base_stats
 
 
@@ -176,13 +176,13 @@ class TestStreamingWalk:
             labelings = [natural_labeling(poset)]
             labelings += [random_natural_labeling(poset, rng) for _ in range(3)]
             for lab in labelings:
-                assert des_fix_counts(poset, lab) == self.per_word_counts(poset, lab)
+                assert des_fix_counts(lab) == self.per_word_counts(poset, lab)
 
     @pytest.mark.parametrize("p", range(0, 7))
     def test_des_fix_counts_match_per_word_on_synthetic_posets(self, p):
         for poset in (chain_poset(p), antichain_poset(p), fence_poset(p)):
             lab = natural_labeling(poset)
-            assert des_fix_counts(poset, lab) == self.per_word_counts(poset, lab)
+            assert des_fix_counts(lab) == self.per_word_counts(poset, lab)
 
     def test_records_equal_per_word_statistics(self, small_catalog):
         rng = random.Random(5)
@@ -191,7 +191,7 @@ class TestStreamingWalk:
             labelings = [natural_labeling(poset)]
             labelings += [random_natural_labeling(poset, rng) for _ in range(2)]
             for lab in labelings:
-                for record in extension_records(poset, lab):
+                for record in extension_records(lab):
                     assert record.fixed == fixed_labels(record.word, poset, lab)[0]
                     assert record.descents == descent_stats(record.word)[0]
 
@@ -199,7 +199,7 @@ class TestStreamingWalk:
         # the p=20 flake has 1,662,804 extensions: a listing that built
         # them all before returning would take seconds and hold them all
         poset = build_poset(parse_strip("WWWWRNNNN 3"))
-        records = extension_records(poset, natural_labeling(poset))
+        records = extension_records(natural_labeling(poset))
         assert iter(records) is records
         first = next(records)
         # a natural labeling is itself an extension, the first in
@@ -207,16 +207,20 @@ class TestStreamingWalk:
         assert first.word == tuple(range(1, 21))
         assert first.des == first.fix == 0
 
-    def test_foreign_labeling_rejected(self):
-        other = build_poset(StripSpec(tuple("WRN"), 2))
-        with pytest.raises(ValueError):
-            des_fix_counts(FLAKE_POSET, natural_labeling(other))
+    def test_engine_takes_the_labeling_alone(self):
+        # the labeling carries its poset, so no (poset, labeling) pair
+        # that disagrees can be passed
+        lab = natural_labeling(FLAKE_POSET)
+        with pytest.raises(TypeError):
+            des_fix_counts(FLAKE_POSET, lab)
+        with pytest.raises(TypeError):
+            extension_records(FLAKE_POSET, lab)
 
 
-def walk_tally(poset, lab):
+def walk_tally(lab):
     """(des, fix) tally of the extension walk, one word at a time: the
     reference that the order-ideal DP in des_fix_counts must equal."""
-    return Counter((des, fixed.bit_count()) for _, des, fixed in _walk(poset, lab))
+    return Counter((des, fixed.bit_count()) for _, des, fixed in _walk(lab))
 
 
 @st.composite
@@ -255,13 +259,13 @@ class TestOrderIdealDp:
             labelings = [natural_labeling(poset)]
             labelings += [random_natural_labeling(poset, rng) for _ in range(2)]
             for lab in labelings:
-                assert des_fix_counts(poset, lab) == walk_tally(poset, lab), spec
+                assert des_fix_counts(lab) == walk_tally(lab), spec
 
     @settings(max_examples=120, deadline=None)
     @given(posets_with_implied_covers(), st.randoms(use_true_random=False))
     def test_equals_walk_on_random_posets(self, poset, rnd):
         for lab in (natural_labeling(poset), random_natural_labeling(poset, rnd)):
-            assert des_fix_counts(poset, lab) == walk_tally(poset, lab)
+            assert des_fix_counts(lab) == walk_tally(lab)
 
     def test_flake_p20_extension_count(self):
         # 1,662,804 extensions, which the walk needs seconds to visit
@@ -272,7 +276,7 @@ class TestOrderIdealDp:
     def test_p18_groups_equal_walk(self):
         spec = parse_strip("WWWRRRNNN 3")
         poset = build_poset(spec)
-        tally = walk_tally(poset, natural_labeling(poset))
+        tally = walk_tally(natural_labeling(poset))
         assert sum(tally.values()) == 87_516
         assert closed_form(spec).groups == tuple((d, f, tally[(d, f)]) for d, f in sorted(tally))
 
@@ -312,7 +316,7 @@ class TestPackedCounts:
         # every permutation is an extension; at p = 10 the largest single
         # (des, fix) count is 607,009, beyond 16 bits
         poset = antichain_poset(p)
-        counts = des_fix_counts(poset, natural_labeling(poset))
+        counts = des_fix_counts(natural_labeling(poset))
         by_des = Counter()
         for (des, _), mult in counts.items():
             assert mult > 0

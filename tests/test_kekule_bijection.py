@@ -69,6 +69,11 @@ class TestKekuleFromMap:
         with pytest.raises(ValueError):
             kekule_from_map(PARA, OrderMap((Dib(1, 1),), (3,)))
 
+    def test_rejects_foreign_dib(self):
+        # WRN has interfaces 1 and 2 only
+        with pytest.raises(ValueError, match="not a DIB of this strip"):
+            kekule_from_map(PARA, OrderMap((Dib(3, 1),), (1,)))
+
 
 class TestOrderMapChecks:
     def test_misaligned_values_rejected(self):
@@ -131,6 +136,11 @@ class TestMapFromKekule:
         ka = KekuleAssignment(poset.elements, positions)
         with pytest.raises(ValueError, match=f"{len(positions)} positions .* 2 DIBs"):
             map_from_kekule(PARA, ka, poset=poset)
+
+    def test_rejects_assignment_over_other_dibs(self):
+        ka = KekuleAssignment((Dib(1, 1), Dib(3, 1)), (1, 1))
+        with pytest.raises(ValueError, match="does not cover the DIBs"):
+            map_from_kekule(PARA, ka)
 
     def test_rejects_position_out_of_interface(self):
         poset = build_poset(PARA)

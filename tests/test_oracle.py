@@ -112,6 +112,9 @@ class TestZzRoutes:
         assert zz_from_covers(enumerate_clar_covers(graph)).coeffs == (6, 6, 1)
         assert zz_from_matchings(graph).coeffs == (6, 6, 1)
 
+    def test_no_matchings_give_zero(self):
+        assert zz_from_matchings(build_graph(PARA), []).is_zero
+
     def test_triple_agreement(self, small_catalog):
         for spec in small_catalog:
             graph = build_graph(spec)
@@ -214,6 +217,10 @@ class TestExtractKi:
             matchings = enumerate_perfect_matchings(graph)
             kis = {extract_ki(graph, m).interface_bond_set() for m in matchings}
             assert len(kis) == len(matchings)
+
+    def test_rejects_matching_short_of_the_orders(self):
+        with pytest.raises(ValueError, match="interface 1 holds 0 double bonds"):
+            extract_ki(build_graph(PARA), frozenset())
 
     def test_counts_per_interface_match_orders(self):
         spec = StripSpec(tuple("WWRNN"), 3)

@@ -63,6 +63,9 @@ class TestZzPolynomial:
         assert str(ZzPolynomial.zero()) == "0"
         assert str(ZzPolynomial((5,))) == "5"
 
+    def test_str_skips_zero_terms(self):
+        assert str(ZzPolynomial((1, 0, 1))) == "x^2 + 1"
+
     def test_evaluate(self):
         poly = ZzPolynomial((6, 6, 1))
         assert poly.evaluate(0) == 6
@@ -207,6 +210,10 @@ class TestExtendedPolynomials:
         with pytest.raises(ValueError, match="n must be nonnegative"):
             extended_poly_extension_formula(poset, natural_labeling(poset), -1)
 
+    def test_strict_order_poly_rejects_negative_n(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            strict_order_poly(build_poset(StripSpec(tuple("WWRNN"), 3)), -1)
+
 
 class TestZzPolynomialOfStrip:
     def test_parallelogram_2_2(self):
@@ -293,6 +300,11 @@ class TestClosedForm:
         latex = cf.as_latex()
         assert r"\binom{6}{k}\binom{n}{k}" in latex
 
+    def test_empty_poset_renders_one(self):
+        # p = 0: the one empty extension, so the form is the constant 1
+        cf = ClosedForm(0, ((0, 0, 1),))
+        assert cf.as_text() == cf.as_latex() == "1"
+
     def test_json_round_trip(self):
         cf = closed_form(StripSpec(tuple("WWRNN"), 3))
         assert ClosedForm.from_json(cf.to_json()) == cf
@@ -377,7 +389,7 @@ class TestReciprocity:
     def test_strict_at_minus_n_counts_weak_maps(self, sub, n):
         p = sub.p
         des_mults = [(des, mult) for (des, _), mult
-                     in des_fix_counts(sub, natural_labeling(sub)).items()]
+                     in des_fix_counts(natural_labeling(sub)).items()]
         # the des-group sum of strict_order_poly, at n and continued to -n
         # through C(-n + des, p) = (-1)^p C(n - des + p - 1, p)
         assert sum(m * math.comb(n + d, p) for d, m in des_mults) == strict_order_poly(sub, n)
