@@ -1,27 +1,29 @@
 """Command-line front end.
 
 One subcommand per pipeline stage: profile, poset, extensions, zz,
-closed-form, kekule, clar, oracle, catalog. Each handler reads the
-parsed arguments itself. Every mode but catalog takes one strip, as
-positional text ("WRN 2", "M 2 2"), the first line of --file, or
---shapes with --length. Text gives n itself, so --length goes with
---shapes only; zz --n-range replaces the strip's n, and closed-form
---shapes without --length prints the symbolic form alone. Machine
-output is line-delimited JSON so enumeration modes can be
-stream-processed.
+closed-form, kekule, clar, oracle, catalog. parse_args reads argv
+(--name value or --name=value) through the one OPTIONS table, which
+--help prints too; each handler reads the namespace it returns. Every
+mode but catalog takes one strip, as positional text ("WRN 2", "M 2
+2"), the first line of --file, or --shapes with --length. Text gives
+n itself, so --length goes with --shapes only; zz --n-range replaces
+the strip's n, and closed-form --shapes without --length prints the
+symbolic form alone. Machine output is line-delimited JSON so
+enumeration modes can be stream-processed.
 
 Exit codes: 0 success, 1 oracle disagreement, 2 parse or validation
-failure, 3 guard violation, 141 stdout closed early (128 + SIGPIPE, as
-a shell reports a process that SIGPIPE ended, e.g. under ``| head``).
+failure (one "error:" line on stderr), 3 guard violation, 141 stdout
+closed early (128 + SIGPIPE, as a shell reports a process that
+SIGPIPE ended, e.g. under ``| head``).
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .dib_poset import build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
@@ -42,39 +44,103 @@ from .strip_geometry import (
 _N_RANGE_BLOCK = 256
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zzstrips",
-        description="Zhang-Zhang polynomials of regular benzenoid strips "
-        "via their DIB posets, with a brute-force oracle.",
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode)
-        if mode != "catalog":
-            p.add_argument("strip", nargs="?", help="strip text, e.g. 'WRN 2' or 'M 2 2'")
-            p.add_argument("--shapes", help="shape letters, e.g. WWRNN")
-            p.add_argument("--length", type=int, help="strip length n")
-            p.add_argument("--file", help="read the strip text from a file")
-        if mode == "zz":
-            p.add_argument("--n-range", help="run for each n in A..B")
-        if mode == "catalog":
-            p.add_argument("--tiers", type=int, required=True, help="maximum tier count")
-            p.add_argument("--length", type=int, help="also evaluate at this n")
-            p.add_argument("--no-dedup", action="store_true",
-                           help="keep mirror-image duplicates")
-        if mode == "oracle":
-            p.add_argument("--max-vertices", type=int,
-                           help="optional limit: exit 3 on a graph with more "
-                           "vertices (no limit by default)")
-        # kekule and clar write one JSON line per structure or cover only
-        choices = ["json"] if mode in ("kekule", "clar") else ["text", "json"]
-        if mode in ("zz", "closed-form"):
-            choices.append("latex")
-        if mode == "poset":
-            choices.append("dot")
-        p.add_argument("--format", dest="fmt", choices=choices, default=choices[0])
-    return parser
+# The one table that parse_args and --help read: per mode, in --help's
+# order, its options, name -> (field, int | str | bool for a flag, help),
+# and its --format choices, default first. Modes with --shapes take a STRIP.
+_STRIP = {
+    "--shapes": ("shapes", str, "shape letters, e.g. WWRNN"),
+    "--length": ("length", int, "strip length n"),
+    "--file": ("file", str, "read the strip text from a file"),
+}
+OPTIONS: dict[str, tuple[dict[str, tuple[str, type, str]], tuple[str, ...]]] = {
+    "profile": (_STRIP, ("text", "json")),
+    "poset": (_STRIP, ("text", "json", "dot")),
+    "extensions": (_STRIP, ("text", "json")),
+    "zz": ({**_STRIP, "--n-range": ("n_range", str, "run for each n in A..B")},
+           ("text", "json", "latex")),
+    "closed-form": (_STRIP, ("text", "json", "latex")),
+    # kekule and clar write one JSON line per structure or cover only
+    "kekule": (_STRIP, ("json",)),
+    "clar": (_STRIP, ("json",)),
+    "oracle": ({**_STRIP, "--max-vertices": ("max_vertices", int, "exit 3 on more vertices")},
+               ("text", "json")),
+    "catalog": ({"--tiers": ("tiers", int, "maximum tier count (required)"),
+                 "--length": ("length", int, "also evaluate at this n"),
+                 "--no-dedup": ("no_dedup", bool, "keep mirror images")}, ("text", "json")),
+}
+
+
+def _help(mode: str | None) -> str:
+    if mode is None:
+        return ("usage: zzstrips MODE [STRIP] [--option VALUE | --option=VALUE ...]\n"
+                f"modes: {', '.join(OPTIONS)}\nzzstrips MODE --help lists the options of MODE.")
+    options, formats = OPTIONS[mode]
+    rows = [("STRIP", "strip text, e.g. 'WRN 2' or 'M 2 2'")] if "--shapes" in options else []
+    rows += [(n if k is bool else f"{n} {f.upper()}", t) for n, (f, k, t) in options.items()]
+    rows += [(f"--format {{{','.join(formats)}}}", f"output format, default {formats[0]}"),
+             ("-h, --help", "show this help and exit")]
+    return f"usage: zzstrips {mode} [options]" + "".join(f"\n  {a:28}{b}" for a, b in rows)
+
+
+def _is_option(token: str) -> bool:
+    """A dash and more, no space, and not a negative number."""
+    return (token[:1] == "-" and token != "-" and " " not in token
+            and not token[1:].replace(".", "", 1).isdecimal())
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The mode, fmt, strip and option fields argv asks for, or None
+    once -h or --help has printed help. A usage error raises
+    StripParseError; an unknown option or a second positional only
+    after the scan, so a --help after it still prints help."""
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_help(None))
+        return None
+    if not argv or argv[0] not in OPTIONS:
+        got = f"unknown mode {argv[0]!r}" if argv else "no mode given"
+        raise StripParseError(f"{got}; choose from {', '.join(OPTIONS)}")
+    mode, tokens = argv[0], iter(argv[1:])
+    options, formats = OPTIONS[mode]
+    fields = {f: False if k is bool else None for f, k, _ in options.values()}
+    args = SimpleNamespace(mode=mode, strip=None, fmt=formats[0], **fields)
+    takes_strip, options = "--shapes" in options, {**options, "--format": ("fmt", formats, "")}
+    unknown, rest = [], False  # after "--" every token is positional
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        field, kind, _ = options.get(name, (None, None, None))
+        if token == "--" and not rest:
+            rest = True
+        elif rest or field is None and not _is_option(token):
+            if takes_strip and args.strip is None:
+                args.strip = token
+            else:
+                unknown.append(token)
+        elif token in ("-h", "--help"):
+            print(_help(mode))
+            return None
+        elif field is None:
+            unknown.append(token)
+        elif kind is bool:
+            if eq:
+                raise StripParseError(f"{name} takes no value, got {token!r}")
+            setattr(args, field, True)
+        else:
+            if not eq and ((value := next(tokens, None)) is None or _is_option(value)):
+                raise StripParseError(f"{name} expects a value")
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise StripParseError(f"{name}: invalid int value: {value!r}") from None
+            elif kind is not str and value not in kind:
+                choices = ", ".join(kind)
+                raise StripParseError(f"{name}: invalid choice: {value!r} (choose from {choices})")
+            setattr(args, field, value)
+    if mode == "catalog" and args.tiers is None:
+        raise StripParseError("catalog needs --tiers")
+    if unknown:
+        raise StripParseError(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def _read_strip_file(path: str) -> str:
@@ -91,7 +157,7 @@ def _read_strip_file(path: str) -> str:
     raise StripParseError(f"no strip description found in {path}")
 
 
-def _spec(args: argparse.Namespace, n: int | None = None) -> StripSpec:
+def _spec(args: SimpleNamespace, n: int | None = None) -> StripSpec:
     """The strip of a strip mode, from positional text, --file, or
     --shapes with --length. n is the mode's own default for a missing
     --length, if it has one."""
@@ -113,11 +179,8 @@ def _spec(args: argparse.Namespace, n: int | None = None) -> StripSpec:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        code = MODES[args.mode](args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        code = 0 if args is None else MODES[args.mode](args)
         # a closed pipe can surface at the flush, so flush while it is caught
         sys.stdout.flush()
         return code
@@ -140,18 +203,15 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def _run_profile(args: argparse.Namespace) -> int:
+def _run_profile(args: SimpleNamespace) -> int:
     spec = _spec(args)
     profile = interface_profile(spec)
     report = validate(spec)
     if args.fmt == "json":
         print(json.dumps({
-            "shapes": list(spec.shapes),
-            "n": spec.n,
-            "sizes": list(profile.sizes),
-            "orders": list(profile.orders),
-            "valid": report.is_valid,
-            "kekulean": report.is_kekulean,
+            "shapes": list(spec.shapes), "n": spec.n,
+            "sizes": list(profile.sizes), "orders": list(profile.orders),
+            "valid": report.is_valid, "kekulean": report.is_kekulean,
             "problems": list(report.problems),
         }))
         return 0
@@ -165,7 +225,7 @@ def _run_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_poset(args: argparse.Namespace) -> int:
+def _run_poset(args: SimpleNamespace) -> int:
     poset = build_poset(_spec(args))
     if args.fmt == "json":
         print(poset.to_json())
@@ -180,20 +240,15 @@ def _run_poset(args: argparse.Namespace) -> int:
 
 
 def _word_str(word) -> str:
-    if word and max(word) > 9:
-        return " ".join(str(w) for w in word)
-    return "".join(str(w) for w in word)
+    return (" " if word and max(word) > 9 else "").join(map(str, word))
 
 
-def _run_extensions(args: argparse.Namespace) -> int:
+def _run_extensions(args: SimpleNamespace) -> int:
     for rec in extension_records(natural_labeling(build_poset(_spec(args)))):
         if args.fmt == "json":
             print(json.dumps({
-                "word": list(rec.word),
-                "des": rec.des,
-                "fix": rec.fix,
-                "descents": sorted(rec.descents),
-                "fixed": sorted(rec.fixed),
+                "word": list(rec.word), "des": rec.des, "fix": rec.fix,
+                "descents": sorted(rec.descents), "fixed": sorted(rec.fixed),
             }))
         else:
             descents = "{" + ",".join(str(i) for i in sorted(rec.descents)) + "}"
@@ -203,7 +258,7 @@ def _run_extensions(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_zz(args: argparse.Namespace) -> int:
+def _run_zz(args: SimpleNamespace) -> int:
     lo = None
     if args.n_range:
         try:
@@ -231,9 +286,10 @@ def _run_zz(args: argparse.Namespace) -> int:
         polys = cf.evaluate_range(lo, hi)
     # A json line is json.dumps of {"shapes", "n", "zz", "closed_form"}
     # (no "closed_form" for a non-Kekulean strip). Only n and the
-    # coefficients change with n, so the rest is encoded once.
+    # coefficients change with n, so the rest is encoded once; the shape
+    # letters, which StripSpec checked, need no escaping.
     if args.fmt == "json":
-        head = '{"shapes": ' + json.dumps(list(spec.shapes)) + ', "n": '
+        head = '{"shapes": [' + ", ".join(f'"{c}"' for c in spec.shapes) + '], "n": '
         tail = "]}}\n" if cf is None else ']}, "closed_form": ' + cf.to_json() + "}\n"
 
     def line(n: int, zz: ZzPolynomial) -> str:
@@ -251,7 +307,7 @@ def _run_zz(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_closed_form(args: argparse.Namespace) -> int:
+def _run_closed_form(args: SimpleNamespace) -> int:
     # --shapes without --length asks for the form alone. The poset and
     # the form do not depend on n, and n = 2 keeps every Kekulean family
     # geometrically realizable.
@@ -261,8 +317,7 @@ def _run_closed_form(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         data = {"shapes": list(spec.shapes), "closed_form": cf.to_dict()}
         if not symbolic:
-            data["n"] = spec.n
-            data["zz"] = {"coeffs": list(cf.evaluate(spec.n).coeffs)}
+            data.update(n=spec.n, zz={"coeffs": list(cf.evaluate(spec.n).coeffs)})
         print(json.dumps(data))
     elif args.fmt == "latex":
         print(cf.as_latex())
@@ -294,7 +349,7 @@ def _kekule_lines(spec: StripSpec):
         yield fragments, map(template.__mod__, (v + p for v, p in structures))
 
 
-def _run_kekule(args: argparse.Namespace) -> int:
+def _run_kekule(args: SimpleNamespace) -> int:
     write = sys.stdout.write
     for _, lines in _kekule_lines(_spec(args)):
         for line in lines:
@@ -309,7 +364,7 @@ def _aromatic_tails(fragments: list[str]):
         yield [", ".join(aromatic) + "]}\n" for aromatic in block]
 
 
-def _run_clar(args: argparse.Namespace) -> int:
+def _run_clar(args: SimpleNamespace) -> int:
     # A Clar cover line is its structure's kekule line, less the closing
     # brace, plus the aromatic list, which depends on A alone. So the
     # endings are built once per A when they fit in one block, and each
@@ -324,7 +379,7 @@ def _run_clar(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_oracle(args: argparse.Namespace) -> int:
+def _run_oracle(args: SimpleNamespace) -> int:
     if (args.max_vertices or 0) < 0:
         raise StripParseError(f"--max-vertices must be nonnegative, got {args.max_vertices}")
     spec = _spec(args)
@@ -341,12 +396,10 @@ def _run_oracle(args: argparse.Namespace) -> int:
     agree = zz_poset == zz_covers == zz_sextets
     if args.fmt == "json":
         print(json.dumps({
-            "shapes": list(spec.shapes),
-            "n": spec.n,
+            "shapes": list(spec.shapes), "n": spec.n,
             "poset": {"coeffs": list(zz_poset.coeffs)},
             "covers": {"coeffs": list(zz_covers.coeffs)},
-            "sextets": {"coeffs": list(zz_sextets.coeffs)},
-            "agree": agree,
+            "sextets": {"coeffs": list(zz_sextets.coeffs)}, "agree": agree,
         }))
     else:
         print(f"zz (poset engine):     {zz_poset}")
@@ -362,7 +415,7 @@ def _run_oracle(args: argparse.Namespace) -> int:
     return 0 if agree else 1
 
 
-def _run_catalog(args: argparse.Namespace) -> int:
+def _run_catalog(args: SimpleNamespace) -> int:
     if args.tiers < 1:
         raise StripParseError(f"--tiers must be a positive integer, got {args.tiers}")
     n = 2 if args.length is None else args.length
@@ -377,8 +430,7 @@ def _run_catalog(args: argparse.Namespace) -> int:
         if args.fmt == "json":
             data = {"shapes": "".join(shapes), "closed_form": cf.to_dict()}
             if args.length is not None:
-                data["n"] = n
-                data["zz"] = {"coeffs": list(cf.evaluate(n).coeffs)}
+                data.update(n=n, zz={"coeffs": list(cf.evaluate(n).coeffs)})
             print(json.dumps(data))
         else:
             line = f"{''.join(shapes)}  p={cf.p}  {cf.as_text()}"
@@ -388,8 +440,7 @@ def _run_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-# One handler per subcommand, in the order --help lists them; both the
-# parser and main() read this table.
+# One handler per subcommand, in the order of OPTIONS, for main().
 MODES = {
     "profile": _run_profile,
     "poset": _run_poset,
@@ -401,10 +452,6 @@ MODES = {
     "oracle": _run_oracle,
     "catalog": _run_catalog,
 }
-
-# parse_args leaves the parser as it found it, so one built at import
-# serves every main() call, and no call pays for building it.
-_PARSER = build_parser()
 
 
 if __name__ == "__main__":

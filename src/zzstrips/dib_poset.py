@@ -12,6 +12,7 @@ per element, bit t standing for the t-th element in (k, j) order.
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidStripError, NonKekuleanError, json_field, json_int, json_list
@@ -174,16 +175,19 @@ def build_poset(spec: StripSpec) -> DibPoset:
         for j in range(1, profile.order(k) + 1)
     ]
 
+    # elements[start[k] + j] is s(k, j), so a cover reuses its elements
+    start = [0, *accumulate(profile.orders, initial=-1)]
     covers: list[tuple[Dib, Dib]] = []
     # the end fragments touch one interface only, so they chain nothing
     for fragment in fragment_info(spec)[1:-1]:
         first = fragment.first_bond_interface
         second = fragment.upper + fragment.lower - first
         ord_first, ord_second = profile.order(first), profile.order(second)
+        a, b = start[first], start[second]
         for j in range(1, min(ord_first, ord_second) + 1):
-            covers.append((Dib(first, j), Dib(second, j)))
+            covers.append((elements[a + j], elements[b + j]))
         for j in range(1, min(ord_second, ord_first - 1) + 1):
-            covers.append((Dib(second, j), Dib(first, j + 1)))
+            covers.append((elements[b + j], elements[a + j + 1]))
 
     return DibPoset(elements, covers)
 

@@ -17,7 +17,6 @@ against, lives in ``tests/reference.py``.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, NamedTuple
 
 from .dib_poset import NaturalLabeling
@@ -137,51 +136,59 @@ def des_fix_counts(labeling: NaturalLabeling) -> dict[tuple[int, int], int]:
     being bits W * s .. W * s + W - 1, since fix <= p. A step shifts
     the int by 0, by W when it fixes `last` (one slot up), or by
     W * (p + 2) when it descends (a descent also fixes `last`), and a
-    merge is one addition. W is the bit length of p!, so 2^W > p!, and
-    no slot carries into the next: a slot of a state at depth d counts
-    prefixes of length d, at most p!/(p - d)! <= p!, and a slot of the
-    result counts extensions, at most p!.
+    merge is one addition. W is the bit length of e(P), the number of
+    extensions, so no slot carries into the next: the prefixes a slot
+    counts share their placed set, so one completion of the rest makes
+    them distinct extensions, and a slot never exceeds e(P) < 2^W. A
+    first pass over the order ideals, layer by layer, builds each
+    ideal's moves and counts its extensions, the maximal chains below
+    it in the lattice of ideals.
     """
     lower, upper = labeling.lower_covers, labeling.upper_covers
     p = labeling.p
     needs = [sum(1 << a for a in below) for below in lower]
-    width = math.factorial(p).bit_length()
-    des_shift = width * (p + 2)
     free_of = {0: sum(1 << x for x in range(p) if not needs[x])}
     # per placed set, one move per free label y: y, the placed set after
     # it, the flags it sets, and the mask that clears its own flag
     moves_of: dict[int, list[tuple[int, int, int, int]]] = {}
+    chains, ideals = {0: 1}, [0]
+    # the list grows as it is read, each layer after the one before, so
+    # an ideal's count is complete before it is read
+    for placed in ideals:
+        free, count = free_of[placed], chains[placed]
+        moves = moves_of[placed] = []
+        todo = free
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            y = bit.bit_length() - 1
+            now_placed = placed | bit
+            if now_placed in chains:
+                chains[now_placed] += count
+            else:
+                chains[now_placed] = count
+                ideals.append(now_placed)
+                now_free = free ^ bit
+                for z in upper[y]:
+                    if needs[z] & now_placed == needs[z]:
+                        now_free |= 1 << z
+                free_of[now_placed] = now_free
+            moves.append((y, now_placed, free & (bit - 1), ~bit))
+    width = chains[(1 << p) - 1].bit_length()
+    des_shift = width * (p + 2)
     # last = -1 stands for the empty prefix: every label ascends from it
     layer = {(0, -1, 0, 0): 1}
     for _ in range(p):
         nxt: dict[tuple[int, int, int, int], int] = {}
         get = nxt.get
         for (placed, last, last_flag, flags), packed in layer.items():
-            moves = moves_of.get(placed)
-            if moves is None:
-                free = free_of[placed]
-                moves = moves_of[placed] = []
-                todo = free
-                while todo:
-                    bit = todo & -todo
-                    todo ^= bit
-                    y = bit.bit_length() - 1
-                    now_placed = placed | bit
-                    if now_placed not in free_of:
-                        now_free = free ^ bit
-                        for z in upper[y]:
-                            if needs[z] & now_placed == needs[z]:
-                                now_free |= 1 << z
-                        free_of[now_placed] = now_free
-                    moves.append((y, now_placed, free & (bit - 1), ~bit))
             ascent = packed << width if last_flag else packed
-            for y, now_placed, smaller, clear in moves:
+            descent = packed << des_shift
+            for y, now_placed, smaller, clear in moves_of[placed]:
                 key = (now_placed, y, flags >> y & 1, (flags | smaller) & clear)
-                nxt[key] = get(key, 0) + (packed << des_shift if last > y else ascent)
+                nxt[key] = get(key, 0) + (descent if last > y else ascent)
         layer = nxt
-    total = 0
-    for (_, _, last_flag, _), packed in layer.items():
-        total += packed << width if last_flag else packed
+    total = sum(packed << width if flag else packed for (_, _, flag, _), packed in layer.items())
     out: dict[tuple[int, int], int] = {}
     mask = (1 << width) - 1
     slot = 0

@@ -283,7 +283,9 @@ class ClosedForm(
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        """json.dumps(self.to_dict()), built from the ints directly."""
+        groups = ", ".join(f'{{"des": {d}, "fix": {f}, "mult": {m}}}' for d, f, m in self.groups)
+        return f'{{"p": {self.p}, "groups": [{groups}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "ClosedForm":

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from zzstrips import (
     DibPoset,
+    NonKekuleanError,
     StripSpec,
     ZzPolynomial,
     build_graph,
@@ -23,7 +25,7 @@ from zzstrips import (
     zz_from_covers,
     zz_polynomial,
 )
-from zzstrips.cli import MODES, catalog_shapes, main
+from zzstrips.cli import MODES, OPTIONS, catalog_shapes, main, parse_args
 from zzstrips.strip_geometry import mirror_orbit
 
 
@@ -133,6 +135,29 @@ class TestZzMode:
             for n in range(1, 31)
         ]
         assert out.splitlines() == expected
+
+    @pytest.mark.parametrize("argv, shapes, ns", [
+        (["WRN 2"], "WRN", [2]),
+        (["--shapes", "WWRNN", "--n-range", "1..5"], "WWRNN", [1, 2, 3, 4, 5]),
+        # non-Kekulean: no closed form, and ZZ = 0
+        (["WNNWWN 4"], "WNNWWN", [4]),
+    ])
+    def test_json_lines_equal_json_dumps(self, capsys, argv, shapes, ns):
+        # the lines are built by hand, without json.dumps
+        code, out, _ = run_cli(capsys, "zz", *argv, "--format", "json")
+        assert code == 0
+        expected = []
+        for n in ns:
+            data = {"shapes": list(shapes), "n": n}
+            try:
+                cf = closed_form(StripSpec(tuple(shapes), n))
+            except NonKekuleanError:
+                data["zz"] = {"coeffs": []}
+            else:
+                data["zz"] = {"coeffs": list(cf.evaluate(n).coeffs)}
+                data["closed_form"] = cf.to_dict()
+            expected.append(json.dumps(data) + "\n")
+        assert out == "".join(expected)
 
     @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
     def test_n_range_across_write_blocks(self, capsys, fmt):
@@ -534,6 +559,118 @@ class TestUsage:
         assert (code, err) == (2, "error: missing --length\n")
 
 
+_STRIP_FIELDS = {"strip": None, "shapes": None, "length": None, "file": None}
+_DEFAULT_FIELDS = {
+    "zz": {**_STRIP_FIELDS, "n_range": None, "fmt": "text"},
+    "poset": {**_STRIP_FIELDS, "fmt": "text"},
+    "kekule": {**_STRIP_FIELDS, "fmt": "json"},
+    "oracle": {**_STRIP_FIELDS, "max_vertices": None, "fmt": "text"},
+    # catalog takes no strip; its strip field stays None
+    "catalog": {"strip": None, "tiers": None, "length": None, "no_dedup": False, "fmt": "text"},
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, given", [
+        (["zz", "WRN 2"], {"strip": "WRN 2"}),
+        (["zz", "WRN 2", "--format=json"], {"strip": "WRN 2", "fmt": "json"}),
+        (["zz", "--format", "latex", "WRN 2"], {"strip": "WRN 2", "fmt": "latex"}),
+        (["zz", "--shapes", "WN", "--length", "2", "--length", "3"],
+         {"shapes": "WN", "length": 3}),
+        (["zz", "--shapes", "WN", "--length", "-1"], {"shapes": "WN", "length": -1}),
+        (["zz", "--shapes=WN", "--n-range=1..3"], {"shapes": "WN", "n_range": "1..3"}),
+        # a known name before "=" makes an option, even with a space after
+        (["zz", "--shapes=WN", "--length= 3"], {"shapes": "WN", "length": 3}),
+        (["zz", "--file", "strip.txt"], {"file": "strip.txt"}),
+        (["zz", "--", "WRN 2"], {"strip": "WRN 2"}),
+        (["poset", "WRN 2", "--format", "dot"], {"strip": "WRN 2", "fmt": "dot"}),
+        (["kekule", "WRN 2"], {"strip": "WRN 2", "fmt": "json"}),
+        (["oracle", "WRN 2", "--max-vertices=-5"], {"strip": "WRN 2", "max_vertices": -5}),
+        (["catalog", "--tiers", "3"], {"tiers": 3, "no_dedup": False}),
+        (["catalog", "--no-dedup", "--tiers=2", "--length", "4", "--format", "json"],
+         {"tiers": 2, "no_dedup": True, "length": 4, "fmt": "json"}),
+    ])
+    def test_fields(self, argv, given):
+        mode = argv[0]
+        assert vars(parse_args(argv)) == {"mode": mode, **_DEFAULT_FIELDS[mode], **given}
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["no-such-mode"],
+        ["zz", "WRN 2", "--bogus"],
+        ["zz", "WRN 2", "--bogus=1"],
+        ["zz", "WRN 2", "-x"],
+        # no unique-prefix abbreviations
+        ["zz", "--shapes", "WN", "--len", "2"],
+        ["zz", "WRN 2", "WN 1"],
+        ["catalog", "--tiers", "2", "extra"],
+        ["zz", "--shapes"],
+        ["zz", "--shapes", "--length", "2"],
+        ["zz", "--shapes", "WN", "--length", "x"],
+        ["zz", "--shapes", "WN", "--length="],
+        ["catalog", "--tiers", "2.5"],
+        ["oracle", "WRN 2", "--max-vertices", "ten"],
+        ["zz", "WRN 2", "--format", "csv"],
+        ["kekule", "WRN 2", "--format=text"],
+        ["catalog"],
+        ["catalog", "--length", "3"],
+        ["catalog", "--tiers", "2", "--no-dedup=x"],
+        ["zz", "--n-range", "1..3", "--shapes", "-W"],
+        # "--" as an explicit value is a value, not the end of the options
+        ["zz", "--shapes=--", "--length=-1"],
+    ])
+    def test_usage_errors_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_bad_format_names_the_choice(self, capsys):
+        code, _, err = run_cli(capsys, "kekule", "WRN 2", "--format=text")
+        assert code == 2
+        assert "invalid choice: 'text'" in err
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_top_level_help_lists_every_mode(self, capsys, flag):
+        code, out, err = run_cli(capsys, flag)
+        assert (code, err) == (0, "")
+        for mode in MODES:
+            assert mode in out
+
+    @pytest.mark.parametrize("mode", list(OPTIONS))
+    def test_mode_help_lists_its_options(self, capsys, mode):
+        code, out, err = run_cli(capsys, mode, "--help")
+        assert (code, err) == (0, "")
+        options, formats = OPTIONS[mode]
+        for name in [*options, "--format", *formats]:
+            assert name in out
+        assert ("STRIP" in out) == (mode != "catalog")
+
+    @pytest.mark.parametrize("argv", [
+        ["zz", "--bogus", "-h"],
+        ["zz", "WRN 2", "extra", "--help"],
+        ["catalog", "--help"],
+    ])
+    def test_help_after_an_unknown_token_still_prints_help(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith(f"usage: zzstrips {argv[0]} ")
+
+    def test_value_error_before_help_exits_2(self, capsys):
+        assert run_cli(capsys, "zz", "--length", "x", "--help")[0] == 2
+
+    def test_equals_form_matches_spaced_form(self, capsys):
+        spaced = run_cli(capsys, "zz", "--shapes", "WWRNN", "--n-range", "1..4", "--format", "json")
+        joined = run_cli(capsys, "zz", "--shapes=WWRNN", "--n-range=1..4", "--format=json")
+        assert joined == spaced
+        assert spaced[0] == 0
+
+    def test_main_reads_sys_argv_without_an_argument(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["zzstrips", "zz", "--shapes", "WRN", "--length", "2"])
+        assert main() == 0
+        assert capsys.readouterr().out == "x^2 + 6x + 6\n"
+
+
 class TestStripArguments:
     @pytest.mark.parametrize("bad, message", [
         ("x", "error: bad --n-range 'x', expected A..B\n"),
@@ -685,8 +822,14 @@ def _argv(draw):
     if _maybe(draw, 3):
         groups.append(["--format", draw(st.sampled_from(["text", "json", "latex", "dot", "csv"]))])
     if _maybe(draw, 10):
-        groups.append([draw(st.sampled_from(["--bogus", "-h", "extra"]))])
+        groups.append([draw(st.sampled_from(["--bogus", "-h", "--help", "extra"]))])
     order = draw(st.permutations(groups))
+    # an option and its value as one --name=value token
+    joined = st.booleans()
+    order = [
+        [f"{group[0]}={group[1]}"] if len(group) == 2 and draw(joined) else group
+        for group in order
+    ]
     return [mode] + [token for group in order for token in group]
 
 

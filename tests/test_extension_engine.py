@@ -324,6 +324,22 @@ class TestPackedCounts:
         assert [by_des[d] for d in range(max(p, 1))] == eulerian_numbers(p)
         assert sum(counts.values()) == math.factorial(p)
 
+    # The slots are as wide as the extension count e needs, not p!.
+    def test_chain_of_40_has_one_bit_slots(self):
+        # e = 1: each slot is one bit, and the one count sits in slot 0
+        lab = natural_labeling(chain_poset(40))
+        assert des_fix_counts(lab) == walk_tally(lab) == {(0, 0): 1}
+
+    def test_antichain_of_7_has_slots_as_wide_as_7_factorial(self):
+        lab = natural_labeling(antichain_poset(7))
+        counts = des_fix_counts(lab)
+        assert counts == walk_tally(lab)
+        assert sum(counts.values()) == math.factorial(7)
+
+    def test_empty_poset_has_the_empty_extension(self):
+        lab = natural_labeling(antichain_poset(0))
+        assert des_fix_counts(lab) == walk_tally(lab) == {(0, 0): 1}
+
     def test_p30_count_beyond_32_bits(self):
         spec = parse_strip("WWWWWRNNNNN 3")
         expected = ideal_chain_count(build_poset(spec))

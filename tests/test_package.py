@@ -56,12 +56,16 @@ def test_test_references_stay_out_of_the_package(module, name):
     assert not hasattr(module, name)
 
 
-def test_cli_import_skips_the_dataclass_machinery():
-    # Every value record is a NamedTuple, so a cold CLI request pays for
-    # neither dataclasses nor the inspect module that it imports.
+def test_cli_import_skips_argparse_and_the_dataclass_machinery():
+    # Every value record is a NamedTuple and argv is read from one table,
+    # so a cold CLI request pays for none of argparse, dataclasses or the
+    # inspect module that dataclasses imports.
     src = str(Path(zzstrips.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, zzstrips.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = (
+        "import sys, zzstrips.cli; "
+        "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
