@@ -3,8 +3,12 @@
 Three independent ZZ computations must coincide for every strip:
 
   * the poset engine (extensions + descent/fixed statistics),
-  * direct enumeration of Clar covers on the explicit graph,
-  * the proper-sextet histogram of the perfect matchings.
+  * the Clar covers of the explicit graph, counted by ring number,
+  * the proper-sextet histogram of its perfect matchings.
+
+Both graph routes are transfer-matrix DPs over the vertices, which
+count without listing; the matchings are listed only for their count
+and for the per-matching check at the end.
 
 The sextet pattern's left/right orientation is invisible in those
 aggregates, for two reasons:
@@ -32,14 +36,13 @@ from zzstrips import (
     StripSpec,
     build_graph,
     build_poset,
+    count_clar_covers,
     count_proper_sextets,
-    enumerate_clar_covers,
+    count_sextet_matchings,
     enumerate_perfect_matchings,
     extract_ki,
     map_from_kekule,
     validate,
-    zz_from_covers,
-    zz_from_matchings,
     zz_polynomial,
 )
 
@@ -64,8 +67,8 @@ for spec in small_catalog(3, (1, 2)):
     matchings = enumerate_perfect_matchings(graph)
     routes = {
         zz_polynomial(spec),
-        zz_from_covers(enumerate_clar_covers(graph)),
-        zz_from_matchings(graph, matchings),
+        count_clar_covers(graph),
+        count_sextet_matchings(graph),
     }
     assert len(routes) == 1, f"disagreement on {spec}"
     (zz,) = routes

@@ -25,16 +25,11 @@ from .kekule_bijection import (
     map_from_kekule,
 )
 from .oracle import (
-    ExplicitClarCover,
     count_clar_covers,
     count_proper_sextets,
     count_sextet_matchings,
-    enumerate_clar_covers,
     enumerate_perfect_matchings,
     extract_ki,
-    iter_clar_covers,
-    zz_from_covers,
-    zz_from_matchings,
 )
 from .order_polynomials import (
     ClosedForm,
@@ -62,7 +57,6 @@ __all__ = [
     "ClosedForm",
     "Dib",
     "DibPoset",
-    "ExplicitClarCover",
     "GuardExceeded",
     "Hexagon",
     "InterfaceProfile",
@@ -82,7 +76,6 @@ __all__ = [
     "count_clar_covers",
     "count_proper_sextets",
     "count_sextet_matchings",
-    "enumerate_clar_covers",
     "enumerate_kekule",
     "enumerate_perfect_matchings",
     "extended_poly_subposet_sum",
@@ -90,15 +83,12 @@ __all__ = [
     "extract_ki",
     "generate_clar_covers",
     "interface_profile",
-    "iter_clar_covers",
     "kekule_from_map",
     "map_from_kekule",
     "natural_labeling",
     "parse_strip",
     "shapes_from_graph",
     "validate",
-    "zz_from_covers",
-    "zz_from_matchings",
     "zz_polynomial",
 ]
 

@@ -2,18 +2,13 @@
 
 Everything here works edge-by-edge on the realized graph and knows
 nothing about posets: perfect matchings by exhaustive branching, proper
-sextets by direct pattern matching on hexagons, Clar covers by choosing
-vertex-disjoint aromatic hexagons and matching the rest. The cover
-histogram comes from ``count_clar_covers``, a transfer-matrix DP over
-the vertices that counts the covers without building them;
-``enumerate_clar_covers`` still builds every cover, as the reference
-the DP is tested against. ``count_sextet_matchings`` counts the perfect
-matchings by proper sextets with the same sweep, and
-``zz_from_matchings`` reads the same histogram off enumerated matchings
-as its reference. The three ZZ routes (cover histogram, sextet
-histogram, poset engine) must agree. The references list every
-matching or cover, so their cost grows with that count; they take no
-limit, and callers keep to graphs small enough to list.
+sextets by direct pattern matching on hexagons, and the Kekule
+assignment a matching puts on the interfaces. ``count_clar_covers``
+counts the Clar covers by ring number with a transfer-matrix DP over
+the vertices, and ``count_sextet_matchings`` counts the perfect
+matchings by proper sextets with the same sweep; neither builds what it
+counts. With the poset engine they are the three ZZ routes that must
+agree.
 The mirrored sextet pattern is the ring's other Kekule configuration,
 so it reproduces all three aggregate routes on every strip; it breaks
 only the per-matching agreement with the bijection, where the sextet
@@ -22,27 +17,12 @@ count of each matching must equal the size of its domain A.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
-
 from .dib_poset import Dib
 from .kekule_bijection import KekuleAssignment
 from .order_polynomials import ZzPolynomial, _substitute_one_plus_x
 from .strip_geometry import BenzenoidGraph, Edge
 
 Matching = frozenset  # of Edge
-
-
-class ExplicitClarCover(NamedTuple):
-    """Aromatic hexagons (by index into graph.hexagons) plus a perfect
-    matching of the remaining vertices. A named tuple: sorts, iterates,
-    equals and hashes like (hexagons, matching)."""
-
-    hexagons: tuple[int, ...]
-    matching: Matching
-
-    @property
-    def order(self) -> int:
-        return len(self.hexagons)
 
 
 def enumerate_perfect_matchings(graph: BenzenoidGraph) -> list[Matching]:
@@ -108,55 +88,6 @@ def count_proper_sextets(
     per-matching count against |A| of the bijection tells them apart.
     """
     return _count_patterns(_sextet_patterns(graph, mirrored), matching)
-
-
-def _hexagon_conflicts(graph: BenzenoidGraph) -> list[set[int]]:
-    vertex_sets = [set(h.vertices) for h in graph.hexagons]
-    conflicts: list[set[int]] = [set() for _ in graph.hexagons]
-    for i in range(len(vertex_sets)):
-        for j in range(i + 1, len(vertex_sets)):
-            if vertex_sets[i] & vertex_sets[j]:
-                conflicts[i].add(j)
-                conflicts[j].add(i)
-    return conflicts
-
-
-def iter_clar_covers(graph: BenzenoidGraph) -> Iterator[ExplicitClarCover]:
-    """The covers of ``enumerate_clar_covers``, streamed in the same order."""
-    conflicts = _hexagon_conflicts(graph)
-    count = len(graph.hexagons)
-    chosen: list[int] = []
-
-    def pick(start: int, blocked: set[int]) -> Iterator[ExplicitClarCover]:
-        removed = frozenset(v for i in chosen for v in graph.hexagons[i].vertices)
-        hexagons = tuple(chosen)
-        for matching in _matchings_avoiding(graph, removed):
-            yield ExplicitClarCover(hexagons, matching)
-        for i in range(start, count):
-            if i in blocked:
-                continue
-            chosen.append(i)
-            yield from pick(i + 1, blocked | conflicts[i])
-            chosen.pop()
-
-    return pick(0, set())
-
-
-def enumerate_clar_covers(graph: BenzenoidGraph) -> list[ExplicitClarCover]:
-    """Every Clar cover: each vertex-disjoint hexagon set, completed by
-    every perfect matching of what remains."""
-    return list(iter_clar_covers(graph))
-
-
-def zz_from_covers(covers: Iterable[ExplicitClarCover]) -> ZzPolynomial:
-    """Cover-order histogram read off directly, in one pass."""
-    counts: list[int] = []
-    for cover in covers:
-        k = cover.order
-        if k >= len(counts):
-            counts.extend([0] * (k + 1 - len(counts)))
-        counts[k] += 1
-    return ZzPolynomial.from_coeffs(counts)
 
 
 def _merge(layer: dict, key: int | tuple[int, int], counts: list[int]) -> None:
@@ -276,26 +207,6 @@ def count_sextet_matchings(graph: BenzenoidGraph, mirrored: bool = False) -> ZzP
                 _merge(layer, (after >> 1, kept), counts[:])
         states = layer
     return _substitute_one_plus_x(states.get((0, 0), ()))
-
-
-def zz_from_matchings(
-    graph: BenzenoidGraph,
-    matchings: list[Matching] | None = None,
-    mirrored: bool = False,
-) -> ZzPolynomial:
-    """Proper-sextet histogram a(k) of enumerated matchings, expanded
-    through (x + 1)^k; the reference ``count_sextet_matchings`` is
-    tested against."""
-    if matchings is None:
-        matchings = enumerate_perfect_matchings(graph)
-    if not matchings:
-        return ZzPolynomial.zero()
-    patterns = _sextet_patterns(graph, mirrored)
-    sextets = [_count_patterns(patterns, m) for m in matchings]
-    a = [0] * (max(sextets) + 1)
-    for s in sextets:
-        a[s] += 1
-    return _substitute_one_plus_x(a)
 
 
 def extract_ki(graph: BenzenoidGraph, matching: Matching) -> KekuleAssignment:

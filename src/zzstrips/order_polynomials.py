@@ -70,9 +70,6 @@ class ZzPolynomial(NamedTuple):
     def kekule_count(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def evaluate(self, x: int) -> int:
         total = 0
         for c in reversed(self.coeffs):

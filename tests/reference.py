@@ -5,26 +5,34 @@ the independent definitions the tests hold it to: binomials that vanish
 outside 0 <= k <= n, strict order-preserving maps by exhaustive search,
 the proper-sextet coefficients a(k) by the subposet sum, the fixed
 labels of one extension word by their definition, the extension words
-read off the streamed records, and E(n, z) summed term by term over the
-(des, fix) groups.
+read off the streamed records, E(n, z) summed term by term over the
+(des, fix) groups, and on the explicit graph the Clar covers and the
+perfect matchings listed one by one and read into ZZ histograms. The
+graph listings grow with the number of covers or matchings, so they
+take no limit, and callers keep to graphs small enough to list.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Iterable, Iterator, NamedTuple
 
 from zzstrips import (
+    BenzenoidGraph,
     DibPoset,
     GuardExceeded,
     NaturalLabeling,
     StripSpec,
+    ZzPolynomial,
     build_poset,
+    enumerate_perfect_matchings,
     extended_poly_subposet_sum,
     extension_records,
 )
 from zzstrips.extension_engine import Word, des_fix_counts, descent_stats
-from zzstrips.order_polynomials import DEFAULT_SUBSET_GUARD
+from zzstrips.oracle import Matching, _count_patterns, _matchings_avoiding, _sextet_patterns
+from zzstrips.order_polynomials import DEFAULT_SUBSET_GUARD, _substitute_one_plus_x
 
 DEFAULT_MAP_GUARD = 4_000_000
 
@@ -125,3 +133,80 @@ def extended_poly_extension_formula(
         )
         for k in range(p + 1)
     )
+
+
+class ExplicitClarCover(NamedTuple):
+    """Aromatic hexagons (by index into graph.hexagons) plus a perfect
+    matching of the remaining vertices. A named tuple: sorts, iterates,
+    equals and hashes like (hexagons, matching)."""
+
+    hexagons: tuple[int, ...]
+    matching: Matching
+
+    @property
+    def order(self) -> int:
+        return len(self.hexagons)
+
+
+def _hexagon_conflicts(graph: BenzenoidGraph) -> list[set[int]]:
+    vertex_sets = [set(h.vertices) for h in graph.hexagons]
+    conflicts: list[set[int]] = [set() for _ in graph.hexagons]
+    for i in range(len(vertex_sets)):
+        for j in range(i + 1, len(vertex_sets)):
+            if vertex_sets[i] & vertex_sets[j]:
+                conflicts[i].add(j)
+                conflicts[j].add(i)
+    return conflicts
+
+
+def enumerate_clar_covers(graph: BenzenoidGraph) -> list[ExplicitClarCover]:
+    """Every Clar cover: each vertex-disjoint hexagon set, completed by
+    every perfect matching of what remains."""
+    conflicts = _hexagon_conflicts(graph)
+    count = len(graph.hexagons)
+    chosen: list[int] = []
+
+    def pick(start: int, blocked: set[int]) -> Iterator[ExplicitClarCover]:
+        removed = frozenset(v for i in chosen for v in graph.hexagons[i].vertices)
+        hexagons = tuple(chosen)
+        for matching in _matchings_avoiding(graph, removed):
+            yield ExplicitClarCover(hexagons, matching)
+        for i in range(start, count):
+            if i in blocked:
+                continue
+            chosen.append(i)
+            yield from pick(i + 1, blocked | conflicts[i])
+            chosen.pop()
+
+    return list(pick(0, set()))
+
+
+def zz_from_covers(covers: Iterable[ExplicitClarCover]) -> ZzPolynomial:
+    """Cover-order histogram read off directly, in one pass."""
+    counts: list[int] = []
+    for cover in covers:
+        k = cover.order
+        if k >= len(counts):
+            counts.extend([0] * (k + 1 - len(counts)))
+        counts[k] += 1
+    return ZzPolynomial.from_coeffs(counts)
+
+
+def zz_from_matchings(
+    graph: BenzenoidGraph,
+    matchings: list[Matching] | None = None,
+    mirrored: bool = False,
+) -> ZzPolynomial:
+    """Proper-sextet histogram a(k) of enumerated matchings, expanded
+    through (x + 1)^k; the reference ``count_sextet_matchings`` is
+    tested against."""
+    if matchings is None:
+        matchings = enumerate_perfect_matchings(graph)
+    if not matchings:
+        return ZzPolynomial.zero()
+    patterns = _sextet_patterns(graph, mirrored)
+    sextets = [_count_patterns(patterns, m) for m in matchings]
+    a = [0] * (max(sextets) + 1)
+    for s in sextets:
+        a[s] += 1
+    return _substitute_one_plus_x(a)

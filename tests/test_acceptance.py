@@ -15,7 +15,6 @@ from zzstrips import (
     build_poset,
     closed_form,
     count_proper_sextets,
-    enumerate_clar_covers,
     enumerate_kekule,
     enumerate_perfect_matchings,
     extension_records,
@@ -25,8 +24,6 @@ from zzstrips import (
     map_from_kekule,
     natural_labeling,
     extended_poly_subposet_sum,
-    zz_from_covers,
-    zz_from_matchings,
     zz_polynomial,
 )
 from zzstrips.extension_engine import descent_stats
@@ -38,7 +35,13 @@ from conftest import (
     fence_poset,
     random_natural_labeling,
 )
-from reference import binom, extended_poly_extension_formula
+from reference import (
+    binom,
+    enumerate_clar_covers,
+    extended_poly_extension_formula,
+    zz_from_covers,
+    zz_from_matchings,
+)
 
 
 def _report(number: int, name: str, ok: bool) -> None:

@@ -16,17 +16,17 @@ from zzstrips import (
     build_graph,
     build_poset,
     closed_form,
-    enumerate_clar_covers,
     enumerate_kekule,
     generate_clar_covers,
     map_from_kekule,
     parse_strip,
     validate,
-    zz_from_covers,
     zz_polynomial,
 )
 from zzstrips.cli import MODES, OPTIONS, catalog_shapes, main, parse_args
 from zzstrips.strip_geometry import mirror_orbit
+
+from reference import enumerate_clar_covers, zz_from_covers
 
 
 def run_cli(capsys, *argv):
