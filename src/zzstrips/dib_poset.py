@@ -131,6 +131,9 @@ class DibPoset:
             Dib(json_int(json_field(d, "k"), "k"), json_int(json_field(d, "j"), "j"))
             for d in json_list(json_field(data, "elements"), "elements")
         ]
+        for i, e in enumerate(elements):
+            if e in elements[:i]:
+                raise ValueError(f"element {e} is repeated")
         p = len(elements)
         covers = []
         for pair in json_list(json_field(data, "covers"), "covers"):

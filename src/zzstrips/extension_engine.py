@@ -6,13 +6,13 @@ a descent, or when the largest position of a preceding larger label
 beats the largest position of a label that is forced below it in the
 poset (max over the empty forced set counting as 0).
 
-The extensions are listed one way, by ``extension_records``, which
-streams them from a walk that carries both statistics along each prefix
-in O(p) memory. The (des, fix) tally that the closed form needs comes
-from a DP over the order ideals of the poset (Stanley, *EC1* 3.5: the
-extensions are the maximal chains of that lattice), not from the walk.
-The word-by-word definition of the fixed labels, which both are tested
-against, lives in ``tests/reference.py``.
+Both routes here take the moves between the order ideals of the poset
+(Stanley, *EC1* 3.5: the extensions are the maximal chains of that
+lattice) and settle the fixed labels by one rule. ``extension_records``
+streams the extensions from a depth-first walk over the moves; the
+(des, fix) tally that the closed form needs comes from a DP that merges
+prefixes by state. The word-by-word definition of the fixed labels,
+which both are tested against, lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Iterator, NamedTuple
 from .dib_poset import NaturalLabeling
 
 Word = tuple[int, ...]
+Move = tuple[int, int, int, int]
 
 
 class LinearExtensionRecord(NamedTuple):
@@ -40,74 +41,83 @@ class LinearExtensionRecord(NamedTuple):
         return len(self.fixed)
 
 
+def _ideal_moves(labeling: NaturalLabeling) -> tuple[dict[int, list[Move]], int]:
+    """Each order ideal's moves, and e(P), the number of extensions.
+
+    An ideal is a bitmask of placed labels (label - 1). It moves by each
+    free label y in increasing y: (y, the ideal after y, the free labels
+    below y, the mask clearing y). Each ideal counts the maximal chains
+    below it (Stanley, *EC1* 3.5); the full ideal's count is e(P).
+    """
+    lower, upper = labeling.lower_covers, labeling.upper_covers
+    p = labeling.p
+    needs = [sum(1 << a for a in below) for below in lower]
+    moves_of: dict[int, list[Move]] = {}
+    chains = {0: 1}
+    # (ideal, its free labels); the list grows as it is read, each layer
+    # after the one before, so an ideal's count is complete before it is read
+    ideals = [(0, sum(1 << x for x in range(p) if not needs[x]))]
+    for placed, free in ideals:
+        count = chains[placed]
+        moves = moves_of[placed] = []
+        todo = free
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            y = bit.bit_length() - 1
+            now_placed = placed | bit
+            if now_placed in chains:
+                chains[now_placed] += count
+            else:
+                chains[now_placed] = count
+                now_free = free ^ bit
+                for z in upper[y]:
+                    if needs[z] & now_placed == needs[z]:
+                        now_free |= 1 << z
+                ideals.append((now_placed, now_free))
+            moves.append((y, now_placed, free & (bit - 1), ~bit))
+    return moves_of, chains[(1 << p) - 1]
+
+
 def _walk(labeling: NaturalLabeling) -> Iterator[tuple[list[int], int, int]]:
     """Walk the extensions in lexicographic order, one at a time.
 
     Yields (word, des, fixed) per extension: the word of labels 1..p,
     its descent count, and its fixed labels as a bitmask (bit l - 1 for
     label l). The word is one buffer that the walk overwrites; copy it
-    to keep it. Internally label l is the integer l - 1, placed when
-    every lower cover is, with des and fixed carried along the prefix:
-    a descent fixes both of its labels, and a label after an ascent is
-    fixed when a larger label follows the last of its lower covers.
-    Memory stays O(p); the empty poset yields one empty word.
+    to keep it. The walk takes the moves of ``des_fix_counts`` depth
+    first with one unmerged state per position (last label, flags, des,
+    fixed), and settles each label where the DP does: on the next move
+    or at the end. Memory is those states plus the order-ideal move
+    table; the empty poset yields one empty word.
     """
-    lower, upper = labeling.lower_covers, labeling.upper_covers
     p = labeling.p
     if p == 0:
         yield [], 0, 0
         return
-    needs = [sum(1 << a for a in lower[x]) for x in range(p)]
-
+    moves_of, _ = _ideal_moves(labeling)
     word = [0] * p  # labels 1..p
-    pos = [0] * p  # 1-based position of each placed label
-    # per depth d: labels placed at positions 1..d, labels free to come
-    # next, candidates not yet tried there, des and fixed of the prefix
-    placed = [0] * (p + 1)
-    free = [0] * (p + 1)
-    todo = [0] * (p + 1)
-    des = [0] * (p + 1)
-    fixed = [0] * (p + 1)
-    free[0] = todo[0] = sum(1 << x for x in range(p) if not lower[x])
-    last = p - 1
+    # per depth d: the moves not yet tried after the first d labels, and
+    # the state of that prefix (last = -1 for the empty one)
+    stack = [(iter(moves_of[0]), -1, 0, 0, 0, 0)] * p
     d = 0
     while d >= 0:
-        cand = todo[d]
-        if not cand:
+        todo, last, flag, flags, des, fixed = stack[d]
+        for y, now_placed, smaller, clear in todo:
+            break
+        else:
             d -= 1
             continue
-        bit = cand & -cand
-        todo[d] = cand ^ bit
-        x = bit.bit_length() - 1
-        prefix = placed[d]
-        n_des = des[d]
-        n_fixed = fixed[d]
-        if d and word[d - 1] > x + 1:
-            n_des += 1
-            n_fixed |= bit | 1 << (word[d - 1] - 1)
-        else:
-            below_end = 0
-            for a in lower[x]:
-                if pos[a] > below_end:
-                    below_end = pos[a]
-            # labels placed after the last lower cover, larger than x
-            if (prefix ^ placed[below_end]) >> (x + 1):
-                n_fixed |= bit
-        word[d] = x + 1
-        pos[x] = d + 1
-        if d == last:
-            yield word, n_des, n_fixed
+        if last > y or flag:
+            fixed |= 1 << last
+        des += last > y
+        word[d] = y + 1
+        flag = flags >> y & 1
+        if d == p - 1:
+            yield word, des, fixed | flag << y
             continue
-        prefix |= bit
-        nxt = free[d] ^ bit
-        for y in upper[x]:
-            if needs[y] & prefix == needs[y]:
-                nxt |= 1 << y
         d += 1
-        placed[d] = prefix
-        free[d] = todo[d] = nxt
-        des[d] = n_des
-        fixed[d] = n_fixed
+        stack[d] = (iter(moves_of[now_placed]), y, flag, (flags | smaller) & clear, des, fixed)
 
 
 def des_fix_counts(labeling: NaturalLabeling) -> dict[tuple[int, int], int]:
@@ -118,8 +128,7 @@ def des_fix_counts(labeling: NaturalLabeling) -> dict[tuple[int, int], int]:
     their state place their remaining labels alike, so they merge and
     keep a count per (des, fix-so-far). Labels are indices label - 1.
     The state is:
-      - the placed set (the free labels, whose lower covers are all
-        placed, follow from it and are kept once per placed set);
+      - the placed set, whose free labels and moves are kept once;
       - the last label, and whether a label larger than it was placed
         after its last lower cover;
       - that flag for each free label, as a bitmask.
@@ -139,42 +148,12 @@ def des_fix_counts(labeling: NaturalLabeling) -> dict[tuple[int, int], int]:
     merge is one addition. W is the bit length of e(P), the number of
     extensions, so no slot carries into the next: the prefixes a slot
     counts share their placed set, so one completion of the rest makes
-    them distinct extensions, and a slot never exceeds e(P) < 2^W. A
-    first pass over the order ideals, layer by layer, builds each
-    ideal's moves and counts its extensions, the maximal chains below
-    it in the lattice of ideals.
+    them distinct extensions, and a slot never exceeds e(P) < 2^W. The
+    moves and e(P) come from ``_ideal_moves``.
     """
-    lower, upper = labeling.lower_covers, labeling.upper_covers
     p = labeling.p
-    needs = [sum(1 << a for a in below) for below in lower]
-    free_of = {0: sum(1 << x for x in range(p) if not needs[x])}
-    # per placed set, one move per free label y: y, the placed set after
-    # it, the flags it sets, and the mask that clears its own flag
-    moves_of: dict[int, list[tuple[int, int, int, int]]] = {}
-    chains, ideals = {0: 1}, [0]
-    # the list grows as it is read, each layer after the one before, so
-    # an ideal's count is complete before it is read
-    for placed in ideals:
-        free, count = free_of[placed], chains[placed]
-        moves = moves_of[placed] = []
-        todo = free
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            y = bit.bit_length() - 1
-            now_placed = placed | bit
-            if now_placed in chains:
-                chains[now_placed] += count
-            else:
-                chains[now_placed] = count
-                ideals.append(now_placed)
-                now_free = free ^ bit
-                for z in upper[y]:
-                    if needs[z] & now_placed == needs[z]:
-                        now_free |= 1 << z
-                free_of[now_placed] = now_free
-            moves.append((y, now_placed, free & (bit - 1), ~bit))
-    width = chains[(1 << p) - 1].bit_length()
+    moves_of, extensions = _ideal_moves(labeling)
+    width = extensions.bit_length()
     des_shift = width * (p + 2)
     # last = -1 stands for the empty prefix: every label ascends from it
     layer = {(0, -1, 0, 0): 1}

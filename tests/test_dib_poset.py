@@ -334,6 +334,15 @@ class TestFromJsonIndices:
         with pytest.raises(ValueError, match=r"cover \[0, 2\]"):
             DibPoset.from_json(self.TWO % "[[0, 2]]")
 
+    def test_repeated_element_rejected(self):
+        # indices 0 and 1 would silently alias one DIB, leaving 2 elements
+        text = (
+            '{"elements": [{"k": 1, "j": 1}, {"k": 1, "j": 1}, {"k": 2, "j": 1}],'
+            ' "covers": [[1, 2]]}'
+        )
+        with pytest.raises(ValueError, match=r"element s\(1,1\) is repeated"):
+            DibPoset.from_json(text)
+
     def test_valid_indices_accepted(self):
         poset = DibPoset.from_json(self.TWO % "[[0, 1]]")
         assert poset.covers == ((Dib(1, 1), Dib(2, 1)),)

@@ -218,8 +218,10 @@ class TestStreamingWalk:
 
 
 def walk_tally(lab):
-    """(des, fix) tally of the extension walk, one word at a time: the
-    reference that the order-ideal DP in des_fix_counts must equal."""
+    """(des, fix) tally of the extension walk, one word at a time. The
+    walk takes the same moves and flags as des_fix_counts, unmerged, so
+    equality checks the DP's merging and packed slots; the per-word
+    definition in tests/reference.py is the independent check."""
     return Counter((des, fixed.bit_count()) for _, des, fixed in _walk(lab))
 
 
@@ -264,8 +266,13 @@ class TestOrderIdealDp:
     @settings(max_examples=120, deadline=None)
     @given(posets_with_implied_covers(), st.randoms(use_true_random=False))
     def test_equals_walk_on_random_posets(self, poset, rnd):
+        # the per-word count lists every extension: an 8-antichain's
+        # 40,320 would take most of a second per example
+        per_word = ideal_chain_count(poset) <= 5_040
         for lab in (natural_labeling(poset), random_natural_labeling(poset, rnd)):
             assert des_fix_counts(lab) == walk_tally(lab)
+            if per_word:
+                assert des_fix_counts(lab) == TestStreamingWalk.per_word_counts(poset, lab)
 
     def test_flake_p20_extension_count(self):
         # 1,662,804 extensions, which the walk needs seconds to visit
@@ -305,6 +312,34 @@ def ideal_chain_count(poset):
                     nxt[ideal | 1 << i] = nxt.get(ideal | 1 << i, 0) + count
         layer = nxt
     return sum(layer.values())
+
+
+def assert_listing_complete_and_ordered(poset, lab):
+    """The records' words strictly increase, so none repeats, and they
+    number e(P) as counted from below_masks, apart from any move table."""
+    words = [record.word for record in extension_records(lab)]
+    assert all(a < b for a, b in zip(words, words[1:]))
+    assert len(words) == ideal_chain_count(poset)
+
+
+class TestListingComplete:
+    """A depth-first pass that skipped or repeated a move would list too
+    few extensions, or one twice."""
+
+    def test_catalog_natural_and_random_labelings(self, small_catalog):
+        rng = random.Random(7)
+        for spec in small_catalog:
+            poset = build_poset(spec)
+            assert_listing_complete_and_ordered(poset, natural_labeling(poset))
+            for _ in range(2):
+                assert_listing_complete_and_ordered(poset, random_natural_labeling(poset, rng))
+
+    @settings(max_examples=120, deadline=None)
+    @given(posets_with_implied_covers(), st.randoms(use_true_random=False))
+    def test_random_posets_with_implied_covers(self, poset, rnd):
+        # redundant relations in the cover list must not add moves
+        assert_listing_complete_and_ordered(poset, natural_labeling(poset))
+        assert_listing_complete_and_ordered(poset, random_natural_labeling(poset, rnd))
 
 
 class TestPackedCounts:
