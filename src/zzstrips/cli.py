@@ -44,37 +44,11 @@ from .strip_geometry import (
 _N_RANGE_BLOCK = 256
 
 
-# The one table that parse_args and --help read: per mode, in --help's
-# order, its options, name -> (field, int | str | bool for a flag, help),
-# and its --format choices, default first. Modes with --shapes take a STRIP.
-_STRIP = {
-    "--shapes": ("shapes", str, "shape letters, e.g. WWRNN"),
-    "--length": ("length", int, "strip length n"),
-    "--file": ("file", str, "read the strip text from a file"),
-}
-OPTIONS: dict[str, tuple[dict[str, tuple[str, type, str]], tuple[str, ...]]] = {
-    "profile": (_STRIP, ("text", "json")),
-    "poset": (_STRIP, ("text", "json", "dot")),
-    "extensions": (_STRIP, ("text", "json")),
-    "zz": ({**_STRIP, "--n-range": ("n_range", str, "run for each n in A..B")},
-           ("text", "json", "latex")),
-    "closed-form": (_STRIP, ("text", "json", "latex")),
-    # kekule and clar write one JSON line per structure or cover only
-    "kekule": (_STRIP, ("json",)),
-    "clar": (_STRIP, ("json",)),
-    "oracle": ({**_STRIP, "--max-vertices": ("max_vertices", int, "exit 3 on more vertices")},
-               ("text", "json")),
-    "catalog": ({"--tiers": ("tiers", int, "maximum tier count (required)"),
-                 "--length": ("length", int, "also evaluate at this n"),
-                 "--no-dedup": ("no_dedup", bool, "keep mirror images")}, ("text", "json")),
-}
-
-
 def _help(mode: str | None) -> str:
     if mode is None:
         return ("usage: zzstrips MODE [STRIP] [--option VALUE | --option=VALUE ...]\n"
                 f"modes: {', '.join(OPTIONS)}\nzzstrips MODE --help lists the options of MODE.")
-    options, formats = OPTIONS[mode]
+    _, options, formats = OPTIONS[mode]
     rows = [("STRIP", "strip text, e.g. 'WRN 2' or 'M 2 2'")] if "--shapes" in options else []
     rows += [(n if k is bool else f"{n} {f.upper()}", t) for n, (f, k, t) in options.items()]
     rows += [(f"--format {{{','.join(formats)}}}", f"output format, default {formats[0]}"),
@@ -100,7 +74,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
         got = f"unknown mode {argv[0]!r}" if argv else "no mode given"
         raise StripParseError(f"{got}; choose from {', '.join(OPTIONS)}")
     mode, tokens = argv[0], iter(argv[1:])
-    options, formats = OPTIONS[mode]
+    _, options, formats = OPTIONS[mode]
     fields = {f: False if k is bool else None for f, k, _ in options.values()}
     args = SimpleNamespace(mode=mode, strip=None, fmt=formats[0], **fields)
     takes_strip, options = "--shapes" in options, {**options, "--format": ("fmt", formats, "")}
@@ -180,7 +154,7 @@ def _spec(args: SimpleNamespace, n: int | None = None) -> StripSpec:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        code = 0 if args is None else MODES[args.mode](args)
+        code = 0 if args is None else OPTIONS[args.mode][0](args)
         # a closed pipe can surface at the flush, so flush while it is caught
         sys.stdout.flush()
         return code
@@ -247,12 +221,12 @@ def _run_extensions(args: SimpleNamespace) -> int:
     for rec in extension_records(natural_labeling(build_poset(_spec(args)))):
         if args.fmt == "json":
             print(json.dumps({
-                "word": list(rec.word), "des": rec.des, "fix": rec.fix,
-                "descents": sorted(rec.descents), "fixed": sorted(rec.fixed),
+                "word": rec.word, "des": rec.des, "fix": rec.fix,
+                "descents": rec.descents, "fixed": rec.fixed,
             }))
         else:
-            descents = "{" + ",".join(str(i) for i in sorted(rec.descents)) + "}"
-            fixed = "{" + ",".join(str(i) for i in sorted(rec.fixed)) + "}"
+            descents = "{" + ",".join(map(str, rec.descents)) + "}"
+            fixed = "{" + ",".join(map(str, rec.fixed)) + "}"
             print(f"{_word_str(rec.word)} des={rec.des} fix={rec.fix} "
                   f"descents={descents} fixed={fixed}")
     return 0
@@ -440,17 +414,32 @@ def _run_catalog(args: SimpleNamespace) -> int:
     return 0
 
 
-# One handler per subcommand, in the order of OPTIONS, for main().
-MODES = {
-    "profile": _run_profile,
-    "poset": _run_poset,
-    "extensions": _run_extensions,
-    "zz": _run_zz,
-    "closed-form": _run_closed_form,
-    "kekule": _run_kekule,
-    "clar": _run_clar,
-    "oracle": _run_oracle,
-    "catalog": _run_catalog,
+# The one table that parse_args, --help and main read: per mode, in
+# --help's order, its handler, its options, name -> (field, int | str |
+# bool for a flag, help), and its --format choices, default first. Modes
+# with --shapes take a STRIP.
+_STRIP = {
+    "--shapes": ("shapes", str, "shape letters, e.g. WWRNN"),
+    "--length": ("length", int, "strip length n"),
+    "--file": ("file", str, "read the strip text from a file"),
+}
+OPTIONS = {
+    "profile": (_run_profile, _STRIP, ("text", "json")),
+    "poset": (_run_poset, _STRIP, ("text", "json", "dot")),
+    "extensions": (_run_extensions, _STRIP, ("text", "json")),
+    "zz": (_run_zz, {**_STRIP, "--n-range": ("n_range", str, "run for each n in A..B")},
+           ("text", "json", "latex")),
+    "closed-form": (_run_closed_form, _STRIP, ("text", "json", "latex")),
+    # kekule and clar write one JSON line per structure or cover only
+    "kekule": (_run_kekule, _STRIP, ("json",)),
+    "clar": (_run_clar, _STRIP, ("json",)),
+    "oracle": (_run_oracle,
+               {**_STRIP, "--max-vertices": ("max_vertices", int, "exit 3 on more vertices")},
+               ("text", "json")),
+    "catalog": (_run_catalog, {"--tiers": ("tiers", int, "maximum tier count (required)"),
+                               "--length": ("length", int, "also evaluate at this n"),
+                               "--no-dedup": ("no_dedup", bool, "keep mirror images")},
+                ("text", "json")),
 }
 
 

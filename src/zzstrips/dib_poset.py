@@ -16,7 +16,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidStripError, NonKekuleanError, json_field, json_int, json_list
-from .strip_geometry import StripSpec, fragment_info, interface_profile, validate
+from .strip_geometry import FIRST_BOND_LOWER, StripSpec, interface_profile, validate
 
 
 class Dib(NamedTuple):
@@ -181,10 +181,10 @@ def build_poset(spec: StripSpec) -> DibPoset:
     # elements[start[k] + j] is s(k, j), so a cover reuses its elements
     start = [0, *accumulate(profile.orders, initial=-1)]
     covers: list[tuple[Dib, Dib]] = []
+    # fragment kappa lies between interfaces u = kappa - 1 and l = kappa;
     # the end fragments touch one interface only, so they chain nothing
-    for fragment in fragment_info(spec)[1:-1]:
-        first = fragment.first_bond_interface
-        second = fragment.upper + fragment.lower - first
+    for kappa, shape in enumerate(spec.shapes[1:-1], start=2):
+        first, second = (kappa, kappa - 1) if shape in FIRST_BOND_LOWER else (kappa - 1, kappa)
         ord_first, ord_second = profile.order(first), profile.order(second)
         a, b = start[first], start[second]
         for j in range(1, min(ord_first, ord_second) + 1):

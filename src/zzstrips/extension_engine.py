@@ -26,11 +26,12 @@ Move = tuple[int, int, int, int]
 
 
 class LinearExtensionRecord(NamedTuple):
-    """A named tuple: sorts, iterates, equals and hashes like its fields."""
+    """A named tuple: sorts, iterates, equals and hashes like its fields.
+    The descent positions and the fixed labels ascend."""
 
     word: Word
-    descents: frozenset[int]
-    fixed: frozenset[int]
+    descents: tuple[int, ...]
+    fixed: tuple[int, ...]
 
     @property
     def des(self) -> int:
@@ -77,47 +78,6 @@ def _ideal_moves(labeling: NaturalLabeling) -> tuple[dict[int, list[Move]], int]
                 ideals.append((now_placed, now_free))
             moves.append((y, now_placed, free & (bit - 1), ~bit))
     return moves_of, chains[(1 << p) - 1]
-
-
-def _walk(labeling: NaturalLabeling) -> Iterator[tuple[list[int], int, int]]:
-    """Walk the extensions in lexicographic order, one at a time.
-
-    Yields (word, des, fixed) per extension: the word of labels 1..p,
-    its descent count, and its fixed labels as a bitmask (bit l - 1 for
-    label l). The word is one buffer that the walk overwrites; copy it
-    to keep it. The walk takes the moves of ``des_fix_counts`` depth
-    first with one unmerged state per position (last label, flags, des,
-    fixed), and settles each label where the DP does: on the next move
-    or at the end. Memory is those states plus the order-ideal move
-    table; the empty poset yields one empty word.
-    """
-    p = labeling.p
-    if p == 0:
-        yield [], 0, 0
-        return
-    moves_of, _ = _ideal_moves(labeling)
-    word = [0] * p  # labels 1..p
-    # per depth d: the moves not yet tried after the first d labels, and
-    # the state of that prefix (last = -1 for the empty one)
-    stack = [(iter(moves_of[0]), -1, 0, 0, 0, 0)] * p
-    d = 0
-    while d >= 0:
-        todo, last, flag, flags, des, fixed = stack[d]
-        for y, now_placed, smaller, clear in todo:
-            break
-        else:
-            d -= 1
-            continue
-        if last > y or flag:
-            fixed |= 1 << last
-        des += last > y
-        word[d] = y + 1
-        flag = flags >> y & 1
-        if d == p - 1:
-            yield word, des, fixed | flag << y
-            continue
-        d += 1
-        stack[d] = (iter(moves_of[now_placed]), y, flag, (flags | smaller) & clear, des, fixed)
 
 
 def des_fix_counts(labeling: NaturalLabeling) -> dict[tuple[int, int], int]:
@@ -179,18 +139,50 @@ def des_fix_counts(labeling: NaturalLabeling) -> dict[tuple[int, int], int]:
     return out
 
 
-def descent_stats(word: Word) -> tuple[frozenset[int], int]:
-    """Descent positions (1-based) and their count."""
-    descents = frozenset(
-        i for i in range(1, len(word)) if word[i - 1] > word[i]
-    )
-    return descents, len(descents)
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def extension_records(labeling: NaturalLabeling) -> Iterator[LinearExtensionRecord]:
     """Every extension as a record of its word, descent positions and
-    fixed labels, streamed in lexicographic order of the words."""
-    for word, _, fixed in _walk(labeling):
-        descents, _ = descent_stats(word)
-        labels = frozenset(l for l in range(1, len(word) + 1) if fixed >> (l - 1) & 1)
-        yield LinearExtensionRecord(tuple(word), descents, labels)
+    fixed labels, streamed in lexicographic order of the words.
+
+    The walk takes the moves of ``des_fix_counts`` depth first with one
+    unmerged state per position (last label, flags, and the descent
+    positions and fixed labels so far as bitmasks, bit i for position or
+    label i), and settles each label where the DP does: on the next move
+    or at the end. Memory is those states plus the order-ideal move
+    table; the empty poset yields one empty word.
+    """
+    p = labeling.p
+    if p == 0:
+        yield LinearExtensionRecord((), (), ())
+        return
+    moves_of, _ = _ideal_moves(labeling)
+    word = [0] * p  # labels 1..p
+    # per depth d: the moves not yet tried after the first d labels, and
+    # the state of that prefix (last = -1 for the empty one)
+    stack = [(iter(moves_of[0]), -1, 0, 0, 0, 0)] * p
+    d = 0
+    while d >= 0:
+        todo, last, flag, flags, descents, fixed = stack[d]
+        for y, now_placed, smaller, clear in todo:
+            break
+        else:
+            d -= 1
+            continue
+        if last > y or flag:
+            fixed |= 2 << last
+        descents |= (last > y) << d
+        word[d] = y + 1
+        flag = flags >> y & 1
+        if d == p - 1:
+            fixed |= flag << y + 1
+            yield LinearExtensionRecord(tuple(word), tuple(_bits(descents)), tuple(_bits(fixed)))
+            continue
+        d += 1
+        stack[d] = (iter(moves_of[now_placed]), y, flag, (flags | smaller) & clear, descents, fixed)

@@ -165,20 +165,19 @@ def map_from_kekule(
 
 
 def _short_subsets(
-    below: Sequence[int], above: Sequence[int], n: int, height: dict[int, int] | None = None
+    below: Sequence[int], above: Sequence[int], n: int, height: dict[int, int]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """(indices, mask) of every subset whose longest chain has at most n
     elements, in ascending mask order, indices ascending.
 
     The walk decides bits from the highest down, leaving each out before
-    putting it in, and keeps the height of every subset it has kept, in
-    height if a table is passed. A longest chain of mask plus a new
-    lowest bit t either avoids t or splits at t into a chain below it
-    and one above it, both within subsets of mask that the walk has kept
-    already. Height never drops when a subset grows, so cutting off a
-    taller one loses nothing, and every subset of a yielded mask has
-    been yielded, with its height stored, before it."""
-    height = {} if height is None else height
+    putting it in, and keeps the height of every subset it has kept in
+    height. A longest chain of mask plus a new lowest bit t either
+    avoids t or splits at t into a chain below it and one above it, both
+    within subsets of mask that the walk has kept already. Height never
+    drops when a subset grows, so cutting off a taller one loses
+    nothing, and every subset of a yielded mask has been yielded, with
+    its height stored, before it."""
     height[0] = 0
     stack = [(len(below), 0, ())]
     while stack:

@@ -139,25 +139,6 @@ def interface_profile(spec: StripSpec) -> InterfaceProfile:
     return InterfaceProfile(spec.n, tuple(sizes), tuple(orders))
 
 
-class FragmentInfo(NamedTuple):
-    """One fragment of the strip and where its leftmost interface bond lives.
-    Equals and hashes like its fields' tuple; index shadows tuple.index."""
-
-    index: int
-    shape: str
-    upper: int
-    lower: int
-    first_bond_interface: int
-
-
-def fragment_info(spec: StripSpec) -> tuple[FragmentInfo, ...]:
-    infos = []
-    for kappa, shape in enumerate(spec.shapes, start=1):
-        first = kappa if shape in FIRST_BOND_LOWER else kappa - 1
-        infos.append(FragmentInfo(kappa, shape, kappa - 1, kappa, first))
-    return tuple(infos)
-
-
 class ValidationReport(NamedTuple):
     """Structural pass/fail flags; never raised, always reported. A named
     tuple: sorts, iterates, equals and hashes like its fields' tuple."""

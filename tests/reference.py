@@ -3,13 +3,14 @@
 The package computes each result by one production route; these are
 the independent definitions the tests hold it to: binomials that vanish
 outside 0 <= k <= n, strict order-preserving maps by exhaustive search,
-the proper-sextet coefficients a(k) by the subposet sum, the fixed
-labels of one extension word by their definition, the extension words
-read off the streamed records, E(n, z) summed term by term over the
-(des, fix) groups, and on the explicit graph the Clar covers and the
-perfect matchings listed one by one and read into ZZ histograms. The
-graph listings grow with the number of covers or matchings, so they
-take no limit, and callers keep to graphs small enough to list.
+the proper-sextet coefficients a(k) by the subposet sum, the descents
+and the fixed labels of one extension word by their definition, the
+extension words read off the streamed records, E(n, z) summed term by
+term over the (des, fix) groups, and on the explicit graph the Clar
+covers and the perfect matchings listed one by one and read into ZZ
+histograms. The graph listings grow with the number of covers or
+matchings, so they take no limit, and callers keep to graphs small
+enough to list.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from zzstrips import (
     extended_poly_subposet_sum,
     extension_records,
 )
-from zzstrips.extension_engine import Word, des_fix_counts, descent_stats
+from zzstrips.extension_engine import Word, des_fix_counts
 from zzstrips.oracle import Matching, _count_patterns, _matchings_avoiding, _sextet_patterns
 from zzstrips.order_polynomials import DEFAULT_SUBSET_GUARD, _substitute_one_plus_x
 
@@ -93,6 +94,14 @@ def _check_extension(word: Word, poset: DibPoset, labeling: NaturalLabeling) -> 
         if position[labeling.label_of(a)] > position[labeling.label_of(b)]:
             raise ValueError(f"word {word} violates {a} < {b}")
     return position
+
+
+def descent_stats(word: Word) -> tuple[frozenset[int], int]:
+    """Descent positions (1-based) and their count."""
+    descents = frozenset(
+        i for i in range(1, len(word)) if word[i - 1] > word[i]
+    )
+    return descents, len(descents)
 
 
 def fixed_labels(

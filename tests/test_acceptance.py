@@ -26,7 +26,6 @@ from zzstrips import (
     extended_poly_subposet_sum,
     zz_polynomial,
 )
-from zzstrips.extension_engine import descent_stats
 
 from conftest import (
     all_strips,
@@ -37,6 +36,7 @@ from conftest import (
 )
 from reference import (
     binom,
+    descent_stats,
     enumerate_clar_covers,
     extended_poly_extension_formula,
     zz_from_covers,

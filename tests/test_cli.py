@@ -23,7 +23,7 @@ from zzstrips import (
     validate,
     zz_polynomial,
 )
-from zzstrips.cli import MODES, OPTIONS, catalog_shapes, main, parse_args
+from zzstrips.cli import OPTIONS, catalog_shapes, main, parse_args
 from zzstrips.strip_geometry import mirror_orbit
 
 from reference import enumerate_clar_covers, zz_from_covers
@@ -634,14 +634,14 @@ class TestParser:
     def test_top_level_help_lists_every_mode(self, capsys, flag):
         code, out, err = run_cli(capsys, flag)
         assert (code, err) == (0, "")
-        for mode in MODES:
+        for mode in OPTIONS:
             assert mode in out
 
     @pytest.mark.parametrize("mode", list(OPTIONS))
     def test_mode_help_lists_its_options(self, capsys, mode):
         code, out, err = run_cli(capsys, mode, "--help")
         assert (code, err) == (0, "")
-        options, formats = OPTIONS[mode]
+        _, options, formats = OPTIONS[mode]
         for name in [*options, "--format", *formats]:
             assert name in out
         assert ("STRIP" in out) == (mode != "catalog")
@@ -794,7 +794,7 @@ def _maybe(draw, chance: int) -> bool:
 
 @st.composite
 def _argv(draw):
-    mode = draw(st.sampled_from(list(MODES)))
+    mode = draw(st.sampled_from(list(OPTIONS)))
     groups = []
     if mode == "catalog":
         if not _maybe(draw, 8):

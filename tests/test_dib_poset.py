@@ -15,6 +15,7 @@ from zzstrips import (
     build_poset,
     interface_profile,
     natural_labeling,
+    parse_strip,
     validate,
 )
 from zzstrips.dib_poset import induced_subposets
@@ -46,6 +47,29 @@ class TestBuildPoset:
         poset = build_poset(FLAKE)
         assert poset.p == 6
         assert set(poset.covers) == FLAKE_COVERS
+
+    @pytest.mark.parametrize(
+        "text, covers",
+        [
+            # R puts the fragment's leftmost bond in its upper interface,
+            # so s(1,1) < s(2,1); L puts it in the lower one, so the cover
+            # turns round
+            ("WRN 2", ((Dib(1, 1), Dib(2, 1)),)),
+            ("WLN 2", ((Dib(2, 1), Dib(1, 1)),)),
+            # the interior W, R, N put it in the lower, upper, upper one
+            ("WWRNN 3", (
+                (Dib(1, 1), Dib(2, 2)),
+                (Dib(2, 1), Dib(1, 1)),
+                (Dib(2, 1), Dib(3, 1)),
+                (Dib(2, 2), Dib(3, 2)),
+                (Dib(3, 1), Dib(2, 2)),
+                (Dib(3, 1), Dib(4, 1)),
+                (Dib(4, 1), Dib(3, 2)),
+            )),
+        ],
+    )
+    def test_fragment_rule_orients_each_cover(self, text, covers):
+        assert build_poset(parse_strip(text)).covers == covers
 
     def test_order_zero_interface_contributes_nothing(self):
         poset = build_poset(StripSpec(tuple("WNWN"), 2))

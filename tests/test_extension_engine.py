@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from zzstrips import (
     Dib,
     DibPoset,
+    LinearExtensionRecord,
     NaturalLabeling,
     StripSpec,
     build_poset,
@@ -17,7 +18,7 @@ from zzstrips import (
     natural_labeling,
     parse_strip,
 )
-from zzstrips.extension_engine import _walk, des_fix_counts, descent_stats
+from zzstrips.extension_engine import des_fix_counts
 
 from conftest import (
     all_strips,
@@ -26,7 +27,7 @@ from conftest import (
     fence_poset,
     random_natural_labeling,
 )
-from reference import fixed_labels, linear_extensions
+from reference import descent_stats, fixed_labels, linear_extensions
 
 
 FLAKE_POSET = build_poset(StripSpec(tuple("WWRNN"), 3))
@@ -192,8 +193,8 @@ class TestStreamingWalk:
             labelings += [random_natural_labeling(poset, rng) for _ in range(2)]
             for lab in labelings:
                 for record in extension_records(lab):
-                    assert record.fixed == fixed_labels(record.word, poset, lab)[0]
-                    assert record.descents == descent_stats(record.word)[0]
+                    assert record.fixed == tuple(sorted(fixed_labels(record.word, poset, lab)[0]))
+                    assert record.descents == tuple(sorted(descent_stats(record.word)[0]))
 
     def test_records_stream(self):
         # the p=20 flake has 1,662,804 extensions: a listing that built
@@ -222,7 +223,7 @@ def walk_tally(lab):
     walk takes the same moves and flags as des_fix_counts, unmerged, so
     equality checks the DP's merging and packed slots; the per-word
     definition in tests/reference.py is the independent check."""
-    return Counter((des, fixed.bit_count()) for _, des, fixed in _walk(lab))
+    return Counter((r.des, r.fix) for r in extension_records(lab))
 
 
 @st.composite
@@ -373,6 +374,7 @@ class TestPackedCounts:
 
     def test_empty_poset_has_the_empty_extension(self):
         lab = natural_labeling(antichain_poset(0))
+        assert list(extension_records(lab)) == [LinearExtensionRecord((), (), ())]
         assert des_fix_counts(lab) == walk_tally(lab) == {(0, 0): 1}
 
     def test_p30_count_beyond_32_bits(self):

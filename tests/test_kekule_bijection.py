@@ -18,7 +18,6 @@ from zzstrips import (
     natural_labeling,
     zz_polynomial,
 )
-from zzstrips.extension_engine import descent_stats
 from zzstrips.kekule_bijection import (
     BLOCK_BITS,
     KekuleAssignment,
@@ -27,7 +26,7 @@ from zzstrips.kekule_bijection import (
     subset_blocks,
 )
 
-from reference import binom, brute_force_strict_maps, linear_extensions
+from reference import binom, brute_force_strict_maps, descent_stats, linear_extensions
 
 
 PARA = StripSpec(tuple("WRN"), 2)
@@ -489,7 +488,7 @@ class TestShortSubsets:
                     for mask in range(1 << p)
                     if height[mask] <= n
                 ]
-                assert list(_short_subsets(below, above, n)) == expected, (spec, n)
+                assert list(_short_subsets(below, above, n, {})) == expected, (spec, n)
 
     @pytest.mark.parametrize("shapes,count", [("WWWWWNNNNN", 252), ("WWWWWWWNNNNNNN", 3432)])
     def test_large_flakes_at_n_1(self, shapes, count):

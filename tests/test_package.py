@@ -46,6 +46,8 @@ def test_all_equals_the_bound_names():
         "linear_extensions",
         "iter_extension_records",
         "fixed_labels",
+        "descent_stats",
+        "_walk",
         "extended_poly_extension_formula",
         "ExplicitClarCover",
         "_hexagon_conflicts",

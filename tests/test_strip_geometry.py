@@ -18,7 +18,6 @@ from zzstrips.strip_geometry import (
     SHAPE_LETTERS,
     _canonical_shapes,
     catalog_shapes,
-    fragment_info,
     parallelogram,
     tier_offsets,
 )
@@ -157,16 +156,6 @@ class TestValidate:
                 for before, after in zip(reports, reports[1:]):
                     assert after.is_valid or not before.is_valid, shapes
                 assert len({r.is_kekulean for r in reports}) == 1, shapes
-
-
-class TestFragments:
-    def test_first_bond_interface_by_shape(self):
-        infos = fragment_info(StripSpec(tuple("WWRNN"), 3))
-        shapes = [f.shape for f in infos]
-        assert shapes == list("WWRNN")
-        # W and L put the first bond in the lower interface, N and R in the upper
-        assert [f.first_bond_interface for f in infos] == [1, 2, 2, 3, 4]
-        assert [(f.upper, f.lower) for f in infos] == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 class TestGraph:
