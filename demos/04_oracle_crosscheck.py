@@ -84,7 +84,8 @@ for matching in enumerate_perfect_matchings(graph):
     om = map_from_kekule(spec, extract_ki(graph, matching), poset=poset)
     rows.append((
         count_proper_sextets(graph, matching),
-        count_proper_sextets(graph, matching, mirrored=True),
+        # the mirrored pattern: left vertical bond, NE and SE slants
+        sum(1 for h in graph.hexagons if {h.edges[1], h.edges[5], h.edges[3]} <= matching),
         om.size,
     ))
 print("proper counts:  ", [r[0] for r in rows])

@@ -40,8 +40,8 @@ from .strip_geometry import (
     validate,
 )
 
-# lines of zz --n-range per write to stdout
-_N_RANGE_BLOCK = 256
+# lines per write to stdout in the line-streaming modes
+_LINE_BLOCK = 256
 
 
 def _help(mode: str | None) -> str:
@@ -213,22 +213,28 @@ def _run_poset(args: SimpleNamespace) -> int:
     return 0
 
 
-def _word_str(word) -> str:
-    return (" " if word and max(word) > 9 else "").join(map(str, word))
+def _write_lines(lines) -> None:
+    """Writes an iterator of newline-terminated lines, one write per
+    block of _LINE_BLOCK and no more than a block held at once."""
+    while block := list(itertools.islice(lines, _LINE_BLOCK)):
+        sys.stdout.write("".join(block))
 
 
 def _run_extensions(args: SimpleNamespace) -> int:
-    for rec in extension_records(natural_labeling(build_poset(_spec(args)))):
-        if args.fmt == "json":
-            print(json.dumps({
-                "word": rec.word, "des": rec.des, "fix": rec.fix,
-                "descents": rec.descents, "fixed": rec.fixed,
-            }))
-        else:
-            descents = "{" + ",".join(map(str, rec.descents)) + "}"
-            fixed = "{" + ",".join(map(str, rec.fixed)) + "}"
-            print(f"{_word_str(rec.word)} des={rec.des} fix={rec.fix} "
-                  f"descents={descents} fixed={fixed}")
+    # A json line equals json.dumps of the record's fields. Every word is
+    # a permutation of 1..p, so one word separator serves the request.
+    labeling = natural_labeling(build_poset(_spec(args)))
+    if args.fmt == "json":
+        sep, comma = ", ", ", "
+        template = '{"word": [%s], "des": %d, "fix": %d, "descents": [%s], "fixed": [%s]}\n'
+    else:
+        sep, comma = " " if labeling.p > 9 else "", ","
+        template = "%s des=%d fix=%d descents={%s} fixed={%s}\n"
+    _write_lines(
+        template % (sep.join(map(str, word)), len(descents), len(fixed),
+                    comma.join(map(str, descents)), comma.join(map(str, fixed)))
+        for word, descents, fixed in extension_records(labeling)
+    )
     return 0
 
 
@@ -274,10 +280,7 @@ def _run_zz(args: SimpleNamespace) -> int:
             return f'{head}{n}, "zz": {{"coeffs": [{coeffs}{tail}'
         return (zz.to_latex() if args.fmt == "latex" else str(zz)) + "\n"
 
-    # one write per block of lines, and no more than a block held at once
-    lines = map(line, range(lo, hi + 1), polys)
-    while block := list(itertools.islice(lines, _N_RANGE_BLOCK)):
-        sys.stdout.write("".join(block))
+    _write_lines(map(line, range(lo, hi + 1), polys))
     return 0
 
 
@@ -324,10 +327,7 @@ def _kekule_lines(spec: StripSpec):
 
 
 def _run_kekule(args: SimpleNamespace) -> int:
-    write = sys.stdout.write
-    for _, lines in _kekule_lines(_spec(args)):
-        for line in lines:
-            write(line + "\n")
+    _write_lines(line + "\n" for _, lines in _kekule_lines(_spec(args)) for line in lines)
     return 0
 
 

@@ -199,7 +199,7 @@ def induced_subposets(poset: DibPoset) -> Iterator[DibPoset]:
     """All 2^p induced subposets, in ascending bitmask order."""
     elements = poset.elements
     for mask in range(1 << poset.p):
-        members = [elements[i] for i in range(poset.p) if mask >> i & 1]
+        members = [elements[i] for i in _bits(mask)]
         yield poset.subposet(members)
 
 

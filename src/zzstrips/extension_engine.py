@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .dib_poset import NaturalLabeling
+from .dib_poset import NaturalLabeling, _bits
 
 Word = tuple[int, ...]
 Move = tuple[int, int, int, int]
@@ -137,14 +137,6 @@ def des_fix_counts(labeling: NaturalLabeling) -> dict[tuple[int, int], int]:
         total >>= width
         slot += 1
     return out
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of mask's set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def extension_records(labeling: NaturalLabeling) -> Iterator[LinearExtensionRecord]:

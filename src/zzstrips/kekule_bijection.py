@@ -114,7 +114,7 @@ def _assignment_from_map(poset: DibPoset, om: OrderMap) -> KekuleAssignment:
     positions = []
     for e, spread, lows in zip(poset.elements, values, poset.below_masks):
         if e not in chosen:
-            spread = max((values[t] for t in range(poset.p) if lows >> t & 1), default=0)
+            spread = max((values[t] for t in _bits(lows)), default=0)
         positions.append(spread + e.j)
     return KekuleAssignment(poset.elements, tuple(positions))
 
@@ -159,7 +159,7 @@ def map_from_kekule(
     selected = [
         e
         for e, value, lows in zip(poset.elements, values, poset.below_masks)
-        if value > max((values[t] for t in range(poset.p) if lows >> t & 1), default=0)
+        if value > max((values[t] for t in _bits(lows)), default=0)
     ]
     return OrderMap(tuple(selected), tuple(offsets[e] for e in selected))
 

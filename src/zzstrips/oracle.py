@@ -9,10 +9,6 @@ the vertices, and ``count_sextet_matchings`` counts the perfect
 matchings by proper sextets with the same sweep; neither builds what it
 counts. With the poset engine they are the three ZZ routes that must
 agree.
-The mirrored sextet pattern is the ring's other Kekule configuration,
-so it reproduces all three aggregate routes on every strip; it breaks
-only the per-matching agreement with the bijection, where the sextet
-count of each matching must equal the size of its domain A.
 """
 
 from __future__ import annotations
@@ -62,12 +58,12 @@ def _matchings_avoiding(graph: BenzenoidGraph, removed: frozenset[int]) -> list[
     return out
 
 
-def _sextet_patterns(graph: BenzenoidGraph, mirrored: bool) -> list[tuple[Edge, Edge, Edge]]:
+def _sextet_patterns(graph: BenzenoidGraph) -> list[tuple[Edge, Edge, Edge]]:
     """The three bonds of each hexagon's proper-sextet pattern."""
     patterns = []
     for hexagon in graph.hexagons:
         nw, left, sw, se, right, ne = hexagon.edges
-        patterns.append((left, ne, se) if mirrored else (right, nw, sw))
+        patterns.append((right, nw, sw))
     return patterns
 
 
@@ -75,19 +71,9 @@ def _count_patterns(patterns: list[tuple[Edge, Edge, Edge]], matching: Matching)
     return sum(1 for a, b, c in patterns if a in matching and b in matching and c in matching)
 
 
-def count_proper_sextets(
-    graph: BenzenoidGraph, matching: Matching, mirrored: bool = False
-) -> int:
-    """Hexagons covered by the right vertical bond plus the two left
-    slants.
-
-    The mirrored pattern (left vertical bond plus the two right slants)
-    exists only to prove tests can catch an orientation bug. Swapping
-    the double bonds of disjoint rings carries one pattern onto the
-    other, so both give the same histogram and ZZ polynomial; only the
-    per-matching count against |A| of the bijection tells them apart.
-    """
-    return _count_patterns(_sextet_patterns(graph, mirrored), matching)
+def count_proper_sextets(graph: BenzenoidGraph, matching: Matching) -> int:
+    """Hexagons covered by the right vertical bond plus the two left slants."""
+    return _count_patterns(_sextet_patterns(graph), matching)
 
 
 def _merge(layer: dict, key: int | tuple[int, int], counts: list[int]) -> None:
@@ -147,7 +133,7 @@ def count_clar_covers(graph: BenzenoidGraph) -> ZzPolynomial:
     return ZzPolynomial.from_coeffs(states.get(0, ()))
 
 
-def count_sextet_matchings(graph: BenzenoidGraph, mirrored: bool = False) -> ZzPolynomial:
+def count_sextet_matchings(graph: BenzenoidGraph) -> ZzPolynomial:
     """Proper-sextet histogram a(k) of the perfect matchings, expanded
     through (x + 1)^k, without building the matchings.
 
@@ -171,7 +157,7 @@ def count_sextet_matchings(graph: BenzenoidGraph, mirrored: bool = False) -> ZzP
     # lower end.
     touch = [0] * size
     roles: list[dict[int, tuple[int, int, bool, bool]]] = [{} for _ in range(size)]
-    for h, pattern in enumerate(_sextet_patterns(graph, mirrored)):
+    for h, pattern in enumerate(_sextet_patterns(graph)):
         lows = sorted(pattern)
         for i, (v, u) in enumerate(lows):
             touch[v] |= 1 << h

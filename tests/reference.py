@@ -8,9 +8,10 @@ and the fixed labels of one extension word by their definition, the
 extension words read off the streamed records, E(n, z) summed term by
 term over the (des, fix) groups, and on the explicit graph the Clar
 covers and the perfect matchings listed one by one and read into ZZ
-histograms. The graph listings grow with the number of covers or
-matchings, so they take no limit, and callers keep to graphs small
-enough to list.
+histograms, and the mirrored sextet pattern that acceptance criterion
+9 holds the orientation checks to. The graph listings grow with the
+number of covers or matchings, so they take no limit, and callers keep
+to graphs small enough to list.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from zzstrips import (
 from zzstrips.extension_engine import Word, des_fix_counts
 from zzstrips.oracle import Matching, _count_patterns, _matchings_avoiding, _sextet_patterns
 from zzstrips.order_polynomials import DEFAULT_SUBSET_GUARD, _substitute_one_plus_x
+from zzstrips.strip_geometry import Edge
 
 DEFAULT_MAP_GUARD = 4_000_000
 
@@ -201,6 +203,29 @@ def zz_from_covers(covers: Iterable[ExplicitClarCover]) -> ZzPolynomial:
     return ZzPolynomial.from_coeffs(counts)
 
 
+def mirrored_patterns(graph: BenzenoidGraph) -> list[tuple[Edge, Edge, Edge]]:
+    """The three bonds of each hexagon's mirrored sextet pattern: the
+    left vertical bond plus the two right slants (NE, SE).
+
+    It exists only to prove the tests can catch an orientation bug. The
+    mirrored pattern is the ring's other Kekule configuration, so
+    swapping the double bonds of disjoint rings carries one pattern
+    onto the other: both give the same histogram and ZZ polynomial on
+    every strip. Only the per-matching count against |A| of the
+    bijection tells them apart.
+    """
+    patterns = []
+    for hexagon in graph.hexagons:
+        nw, left, sw, se, right, ne = hexagon.edges
+        patterns.append((left, ne, se))
+    return patterns
+
+
+def count_mirrored_sextets(graph: BenzenoidGraph, matching: Matching) -> int:
+    """Hexagons of the matching that hold the mirrored pattern."""
+    return _count_patterns(mirrored_patterns(graph), matching)
+
+
 def zz_from_matchings(
     graph: BenzenoidGraph,
     matchings: list[Matching] | None = None,
@@ -208,12 +233,13 @@ def zz_from_matchings(
 ) -> ZzPolynomial:
     """Proper-sextet histogram a(k) of enumerated matchings, expanded
     through (x + 1)^k; the reference ``count_sextet_matchings`` is
-    tested against."""
+    tested against. mirrored reads the histogram of the mirrored
+    pattern instead."""
     if matchings is None:
         matchings = enumerate_perfect_matchings(graph)
     if not matchings:
         return ZzPolynomial.zero()
-    patterns = _sextet_patterns(graph, mirrored)
+    patterns = mirrored_patterns(graph) if mirrored else _sextet_patterns(graph)
     sextets = [_count_patterns(patterns, m) for m in matchings]
     a = [0] * (max(sextets) + 1)
     for s in sextets:

@@ -36,6 +36,7 @@ from conftest import (
 )
 from reference import (
     binom,
+    count_mirrored_sextets,
     descent_stats,
     enumerate_clar_covers,
     extended_poly_extension_formula,
@@ -252,7 +253,7 @@ def test_criterion_9_sextet_orientation_falsifiable(acceptance_catalog):
         if not per_matching_detected:
             poset = build_poset(spec)
             per_matching_detected = any(
-                count_proper_sextets(graph, matching, mirrored=True)
+                count_mirrored_sextets(graph, matching)
                 != map_from_kekule(spec, extract_ki(graph, matching), poset=poset).size
                 for matching in matchings
             )

@@ -17,8 +17,10 @@ from zzstrips import (
     build_poset,
     closed_form,
     enumerate_kekule,
+    extension_records,
     generate_clar_covers,
     map_from_kekule,
+    natural_labeling,
     parse_strip,
     validate,
     zz_polynomial,
@@ -235,6 +237,33 @@ class TestExtensionsMode:
             {"word": [1, 2], "des": 0, "fix": 0, "descents": [], "fixed": []}
         ]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("text, p, count", [("WWRNN 3", 6, 5), ("WWWRNNN 3", 12, 462)])
+    def test_lines_equal_the_records(self, capsys, text, p, count, fmt):
+        # 462 lines are two blocks of writes; past p = 9 the word's
+        # labels are separated by spaces
+        poset = build_poset(parse_strip(text))
+        assert poset.p == p
+        records = list(extension_records(natural_labeling(poset)))
+        if fmt == "json":
+            expected = [
+                json.dumps({"word": r.word, "des": r.des, "fix": r.fix,
+                            "descents": r.descents, "fixed": r.fixed})
+                for r in records
+            ]
+        else:
+            sep = " " if p > 9 else ""
+            expected = [
+                f"{sep.join(map(str, r.word))} des={r.des} fix={r.fix} "
+                f"descents={{{','.join(map(str, r.descents))}}} "
+                f"fixed={{{','.join(map(str, r.fixed))}}}"
+                for r in records
+            ]
+        code, out, _ = run_cli(capsys, "extensions", text, "--format", fmt)
+        assert code == 0
+        assert len(expected) == count
+        assert out.splitlines() == expected
+
 
 class TestClosedFormMode:
     def test_symbolic_text(self, capsys):
@@ -294,7 +323,8 @@ class TestEnumerationModes:
 
 
 class TestKekuleLineEncoding:
-    @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2"])
+    # WWRNN 5 has 1,176 structures: five blocks of writes
+    @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2", "WWRNN 5"])
     def test_lines_equal_json_dumps(self, capsys, text):
         expected = [
             json.dumps({

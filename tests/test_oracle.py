@@ -19,7 +19,12 @@ from zzstrips import (
 )
 from zzstrips.strip_geometry import catalog_shapes
 
-from reference import enumerate_clar_covers, zz_from_covers, zz_from_matchings
+from reference import (
+    count_mirrored_sextets,
+    enumerate_clar_covers,
+    zz_from_covers,
+    zz_from_matchings,
+)
 
 
 PARA = StripSpec(tuple("WRN"), 2)
@@ -130,7 +135,7 @@ class TestZzRoutes:
             poset = build_poset(spec)
             for matching in enumerate_perfect_matchings(graph):
                 om = map_from_kekule(spec, extract_ki(graph, matching), poset=poset)
-                mirrored = count_proper_sextets(graph, matching, mirrored=True)
+                mirrored = count_mirrored_sextets(graph, matching)
                 if mirrored != om.size:
                     found_mismatch = True
         assert found_mismatch
@@ -171,10 +176,7 @@ class TestCountSextetMatchings:
     def test_equals_enumeration_on_small_catalog(self, small_catalog):
         for spec in small_catalog:
             graph = build_graph(spec)
-            for mirrored in (False, True):
-                assert count_sextet_matchings(graph, mirrored=mirrored) == zz_from_matchings(
-                    graph, mirrored=mirrored
-                ), (spec, mirrored)
+            assert count_sextet_matchings(graph) == zz_from_matchings(graph), spec
 
     def test_three_routes_agree_up_to_seven_tiers(self):
         # the 353 families with m <= 7, each at its first four valid n:

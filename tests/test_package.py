@@ -10,6 +10,7 @@ import pytest
 
 import zzstrips
 import zzstrips.cli
+import zzstrips.dib_poset
 import zzstrips.extension_engine
 import zzstrips.oracle
 import zzstrips.order_polynomials
@@ -64,6 +65,20 @@ def test_all_equals_the_bound_names():
 )
 def test_test_references_stay_out_of_the_package(module, name):
     assert not hasattr(module, name)
+
+
+def test_one_set_bit_lister():
+    assert zzstrips.extension_engine._bits is zzstrips.dib_poset._bits
+
+
+def test_oracle_counts_the_proper_pattern_only():
+    # the mirrored pattern is a test reference, not an option of the oracle
+    graph = zzstrips.build_graph(zzstrips.parse_strip("WRN 2"))
+    matching = zzstrips.enumerate_perfect_matchings(graph)[0]
+    with pytest.raises(TypeError):
+        zzstrips.count_proper_sextets(graph, matching, mirrored=True)
+    with pytest.raises(TypeError):
+        zzstrips.count_sextet_matchings(graph, mirrored=True)
 
 
 def test_benchmark_recorder_imports_resolve():
