@@ -52,20 +52,18 @@ class DibPoset:
 
     def __init__(self, elements: Iterable[Dib], covers: Iterable[tuple[Dib, Dib]]):
         self.elements: tuple[Dib, ...] = tuple(sorted(set(elements)))
-        self._index = {e: i for i, e in enumerate(self.elements)}
+        index = self._index = {e: i for i, e in enumerate(self.elements)}
+        p = len(self.elements)
+        below = [0] * p
         cover_set = set()
         for a, b in covers:
-            if a not in self._index or b not in self._index:
+            if a not in index or b not in index:
                 raise ValueError(f"cover ({a}, {b}) uses unknown element")
             if a == b:
                 raise ValueError(f"reflexive cover at {a}")
             cover_set.add((a, b))
+            below[index[b]] |= 1 << index[a]
         self.covers: tuple[tuple[Dib, Dib], ...] = tuple(sorted(cover_set))
-
-        p = len(self.elements)
-        below = [0] * p
-        for a, b in self.covers:
-            below[self._index[b]] |= 1 << self._index[a]
         # Warshall: after step t each mask holds every element that
         # reaches it through intermediates among elements 0..t
         for t in range(p):

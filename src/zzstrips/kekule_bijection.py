@@ -54,9 +54,6 @@ class OrderMap(
     def value_of(self, element: Dib) -> int:
         return self.values[self.elements.index(element)]
 
-    def as_dict(self) -> dict[Dib, int]:
-        return dict(zip(self.elements, self.values))
-
     @property
     def size(self) -> int:
         return len(self.elements)
@@ -92,52 +89,41 @@ class ClarCoverRecord(NamedTuple):
         return len(self.aromatic)
 
 
-def _check_order_map(poset: DibPoset, om: OrderMap, n: int) -> None:
+def kekule_from_map(
+    spec: StripSpec, om: OrderMap, poset: DibPoset | None = None
+) -> KekuleAssignment:
+    """The unique Kekule structure whose proper-sextet DIBs are om's domain
+    with its values; every other DIB takes the largest value below it."""
+    poset = build_poset(spec) if poset is None else poset
     known = set(poset.elements)
     for e, v in zip(om.elements, om.values):
         if e not in known:
             raise ValueError(f"{e} is not a DIB of this strip")
-        if not 1 <= v <= n:
-            raise ValueError(f"value {v} for {e} is outside 1..{n}")
-    for a in om.elements:
-        for b in om.elements:
-            if poset.less(a, b) and om.value_of(a) >= om.value_of(b):
-                raise ValueError(
-                    f"map is not strictly order-preserving: {a} < {b} but "
-                    f"{om.value_of(a)} >= {om.value_of(b)}"
-                )
-
-
-def _assignment_from_map(poset: DibPoset, om: OrderMap) -> KekuleAssignment:
-    chosen = om.as_dict()
+        if not 1 <= v <= spec.n:
+            raise ValueError(f"value {v} for {e} is outside 1..{spec.n}")
+    chosen = dict(zip(om.elements, om.values))
     values = [chosen.get(e, 0) for e in poset.elements]
     positions = []
-    for e, spread, lows in zip(poset.elements, values, poset.below_masks):
+    for e, value, lows in zip(poset.elements, values, poset.below_masks):
+        top = max((values[t] for t in _bits(lows)), default=0)
         if e not in chosen:
-            spread = max((values[t] for t in _bits(lows)), default=0)
-        positions.append(spread + e.j)
+            value = top
+        elif top >= value:
+            a = poset.elements[next(t for t in _bits(lows) if values[t] == top)]
+            raise ValueError(
+                f"map is not strictly order-preserving: {a} < {e} but {top} >= {value}"
+            )
+        positions.append(value + e.j)
     return KekuleAssignment(poset.elements, tuple(positions))
-
-
-def kekule_from_map(
-    spec: StripSpec, om: OrderMap, poset: DibPoset | None = None
-) -> KekuleAssignment:
-    """The unique Kekule structure whose proper-sextet DIBs are om's
-    domain with the prescribed values."""
-    poset = build_poset(spec) if poset is None else poset
-    _check_order_map(poset, om, spec.n)
-    return _assignment_from_map(poset, om)
 
 
 def map_from_kekule(
     spec: StripSpec, ka: KekuleAssignment, poset: DibPoset | None = None
 ) -> OrderMap:
-    """Recover (A, mu) from a position assignment.
-
-    Rejects assignments whose per-DIB offsets pos - j fail to be an
-    order-preserving map into [0, n]; by the alternation rules those are
-    exactly the position sets that no Kekule structure realizes.
-    """
+    """Recover (A, mu) from a position assignment: A holds the DIBs whose
+    offset pos - j exceeds 0 and every offset below them, mu their offsets.
+    Rejects offsets that are no order-preserving map into [0, n]; by the
+    alternation rules no Kekule structure realizes those."""
     poset = build_poset(spec) if poset is None else poset
     if ka.elements != poset.elements:
         raise ValueError("assignment does not cover the DIBs of this strip")
@@ -145,23 +131,22 @@ def map_from_kekule(
         raise ValueError(
             f"{len(ka.positions)} positions do not align with {len(ka.elements)} DIBs"
         )
-    offsets = {e: p - e.j for e, p in zip(ka.elements, ka.positions)}
-    for e, value in offsets.items():
+    offsets = [p - e.j for e, p in zip(ka.elements, ka.positions)]
+    for e, value in zip(ka.elements, offsets):
         if not 0 <= value <= spec.n:
             raise ValueError(f"offset {value} of {e} is outside 0..{spec.n}")
-    for a, b in poset.covers:
-        if offsets[a] > offsets[b]:
+    selected, mu = [], []
+    for e, value, lows in zip(poset.elements, offsets, poset.below_masks):
+        top = max((offsets[t] for t in _bits(lows)), default=0)
+        if top > value:
+            a = poset.elements[next(t for t in _bits(lows) if offsets[t] == top)]
             raise ValueError(
-                f"positions violate alternation: {a} < {b} but offsets "
-                f"{offsets[a]} > {offsets[b]}"
+                f"positions violate alternation: {a} < {e} but offsets {top} > {value}"
             )
-    values = list(offsets.values())
-    selected = [
-        e
-        for e, value, lows in zip(poset.elements, values, poset.below_masks)
-        if value > max((values[t] for t in _bits(lows)), default=0)
-    ]
-    return OrderMap(tuple(selected), tuple(offsets[e] for e in selected))
+        if value > top:
+            selected.append(e)
+            mu.append(value)
+    return OrderMap(tuple(selected), tuple(mu))
 
 
 def _short_subsets(

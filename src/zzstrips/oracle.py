@@ -215,7 +215,5 @@ def extract_ki(graph: BenzenoidGraph, matching: Matching) -> KekuleAssignment:
         for j, p in enumerate(doubles, start=1):
             elements.append(Dib(k, j))
             positions.append(p)
-    pairs = sorted(zip(elements, positions))
-    return KekuleAssignment(
-        tuple(e for e, _ in pairs), tuple(p for _, p in pairs)
-    )
+    # k then j ascending: already the canonical (k, j) order
+    return KekuleAssignment(tuple(elements), tuple(positions))

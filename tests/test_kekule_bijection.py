@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,18 @@ class TestKekuleFromMap:
         om = OrderMap((Dib(1, 1), Dib(2, 1)), (2, 2))
         with pytest.raises(ValueError):
             kekule_from_map(PARA, om)
+
+    def test_strictness_holds_on_a_pair_that_is_no_cover(self):
+        # flake poset: s(2,1) < s(1,1) < s(2,2), and s(2,1) < s(2,2) is
+        # not a cover
+        spec = StripSpec(tuple("WWRNN"), 3)
+        poset = build_poset(spec)
+        low, high = Dib(2, 1), Dib(2, 2)
+        assert poset.less(low, high) and (low, high) not in poset.covers
+        with pytest.raises(ValueError, match=r"s\(2,1\) < s\(2,2\) but 2 >= 2"):
+            kekule_from_map(spec, OrderMap((low, high), (2, 2)), poset=poset)
+        ka = kekule_from_map(spec, OrderMap((low, high), (1, 2)), poset=poset)
+        assert map_from_kekule(spec, ka, poset=poset) == OrderMap((low, high), (1, 2))
 
     def test_rejects_out_of_range_value(self):
         with pytest.raises(ValueError):
@@ -146,6 +160,81 @@ class TestMapFromKekule:
         ka = KekuleAssignment(poset.elements, (4, 1))
         with pytest.raises(ValueError):
             map_from_kekule(PARA, ka)
+
+
+class TestDirectionsMatchDefinitions:
+    """Both directions against their pairwise definitions, read through
+    poset.less, on seeded random inputs. A range error takes precedence
+    over an order error, and an order error names a violating pair."""
+
+    TRIALS = 300
+
+    def test_kekule_from_map(self, small_catalog):
+        rng = random.Random(30)
+        for spec in small_catalog:
+            poset, n = build_poset(spec), spec.n
+            for _ in range(self.TRIALS):
+                members = tuple(e for e in poset.elements if rng.random() < 0.5)
+                mu = {e: rng.randint(0, n + 1) for e in members}
+                om = OrderMap(members, tuple(mu.values()))
+                violations = {
+                    f"{a} < {b} but {mu[a]} >= {mu[b]}"
+                    for a in members
+                    for b in members
+                    if poset.less(a, b) and mu[a] >= mu[b]
+                }
+                if any(not 1 <= v <= n for v in mu.values()):
+                    with pytest.raises(ValueError, match=f"outside 1..{n}"):
+                        kekule_from_map(spec, om, poset=poset)
+                elif violations:
+                    with pytest.raises(ValueError, match="not strictly order-preserving") as err:
+                        kekule_from_map(spec, om, poset=poset)
+                    assert str(err.value).split(": ")[1] in violations
+                else:
+                    expected = tuple(
+                        s.j + max((v for a, v in mu.items() if a == s or poset.less(a, s)), default=0)
+                        for s in poset.elements
+                    )
+                    assert kekule_from_map(spec, om, poset=poset).positions == expected
+
+    def test_map_from_kekule(self, small_catalog):
+        rng = random.Random(31)
+        for spec in small_catalog:
+            poset, n = build_poset(spec), spec.n
+            elements = poset.elements
+            for _ in range(self.TRIALS):
+                # a random order-preserving map, then at times one offset
+                # moved by one, which may break the order or the range
+                offset: dict[Dib, int] = {}
+                for s in sorted(elements, key=lambda s: len(poset.below(s))):
+                    offset[s] = max([rng.randint(0, n), *(offset[a] for a in poset.below(s))])
+                if rng.random() < 0.5:
+                    s = rng.choice(elements)
+                    offset[s] += rng.choice((-1, 1))
+                ka = KekuleAssignment(elements, tuple(offset[s] + s.j for s in elements))
+                violations = {
+                    f"{a} < {b} but offsets {offset[a]} > {offset[b]}"
+                    for a in elements
+                    for b in elements
+                    if poset.less(a, b) and offset[a] > offset[b]
+                }
+                if any(not 0 <= v <= n for v in offset.values()):
+                    with pytest.raises(ValueError, match=f"outside 0..{n}"):
+                        map_from_kekule(spec, ka, poset=poset)
+                elif violations:
+                    with pytest.raises(ValueError, match="violate alternation") as err:
+                        map_from_kekule(spec, ka, poset=poset)
+                    assert str(err.value).split(": ")[1] in violations
+                else:
+                    # members take values in 1..n, so an offset of 0 never selects
+                    chosen = tuple(
+                        s
+                        for s in elements
+                        if all(offset[s] > offset[a] for a in elements if poset.less(a, s))
+                        and offset[s] > 0
+                    )
+                    expected = OrderMap(chosen, tuple(offset[s] for s in chosen))
+                    assert map_from_kekule(spec, ka, poset=poset) == expected
 
 
 class TestEnumeration:
