@@ -23,12 +23,13 @@ import itertools
 import json
 import os
 import sys
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .dib_poset import build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
 from .extension_engine import extension_records
-from .kekule_bijection import BLOCK_BITS, kekule_groups, subset_blocks
+from .kekule_bijection import BLOCK_BITS, kekule_walk, subset_blocks
 from .order_polynomials import ZzPolynomial, closed_form, zz_polynomial
 from .oracle import count_clar_covers, count_sextet_matchings
 from .strip_geometry import (
@@ -42,6 +43,10 @@ from .strip_geometry import (
 
 # lines per write to stdout in the line-streaming modes
 _LINE_BLOCK = 256
+# kekule and clar keep the entries of at most this many subsets A, and
+# clar about this many aromatic strings in them
+_ENTRIES = 4096
+_TAILS_HELD = 8192
 
 
 def _help(mode: str | None) -> str:
@@ -305,51 +310,63 @@ def _run_closed_form(args: SimpleNamespace) -> int:
     return 0
 
 
-def _kekule_lines(spec: StripSpec):
-    """Per subset A, the {"k", "j"} fragments of A's members and A's
-    kekule lines, one per structure, without the newline.
+def _kekule_lines(spec: StripSpec, end: str, tails: bool = False):
+    """Per Kekule structure, in the order of kekule_walk, the entry of
+    its subset A and its line, which ends in end. An entry holds A's
+    {"k", "j"} fragments, its line template and getter, and with tails
+    the contents of its 2^|A| aromatic lists, doubled out in ascending
+    mask order, when A has at most BLOCK_BITS members (else None).
 
-    A line equals json.dumps of the {"A", "mu", "pos"} dict, as an int
-    prints the same under %d. Each DIB's fragment is encoded once per
-    request, and the line template once per subset A.
+    A kekule line equals json.dumps of the {"A", "mu", "pos"} dict, as
+    an int prints the same under %d. Each DIB's fragment is encoded
+    once per request. An entry is built when its A comes and kept until
+    the entries hold _ENTRIES subsets or _TAILS_HELD aromatic strings;
+    then all are dropped, so memory stays bounded whatever the strip.
     """
     poset = build_poset(spec)
-    encoded = {d: json.dumps({"k": d.k, "j": d.j}) for d in poset.elements}
+    p = poset.p
+    encoded = [json.dumps({"k": d.k, "j": d.j}) for d in poset.elements]
     pos = ", ".join(f"[{d.k}, %d]" for d in poset.elements)
-    for members, structures in kekule_groups(poset, spec.n):
-        fragments = [encoded[d] for d in members]
-        template = (
-            '{"A": [' + ", ".join(fragments) + '], "mu": ['
-            + ", ".join(["%d"] * len(members)) + '], "pos": [' + pos + "]}"
-        )
-        # template.__mod__ binds this group's template now, not the last one
-        yield fragments, map(template.__mod__, (v + p for v, p in structures))
+    entries, held = {}, 0
+    for mask, values in kekule_walk(poset, spec.n):
+        entry = entries.get(mask)
+        if entry is None:
+            if len(entries) >= _ENTRIES or held >= _TAILS_HELD:
+                entries.clear()
+                held = 0
+            idx = [i for i in range(p) if mask >> i & 1]
+            fragments = [encoded[i] for i in idx]
+            template = (
+                '{"A": [' + ", ".join(fragments) + '], "mu": ['
+                + ", ".join(["%d"] * len(idx)) + '], "pos": [' + pos + "]" + end
+            )
+            aromatic = [""] if tails and len(idx) <= BLOCK_BITS else None
+            if aromatic:
+                for f in fragments:
+                    aromatic += [f] + [a + ", " + f for a in aromatic[1:]]
+                held += len(aromatic)
+            getter = itemgetter(*idx, *range(p, 2 * p))  # mu, then every position
+            entry = entries[mask] = (fragments, template, getter, aromatic)
+        yield entry, entry[1] % entry[2](values)
 
 
 def _run_kekule(args: SimpleNamespace) -> int:
-    _write_lines(line + "\n" for _, lines in _kekule_lines(_spec(args)) for line in lines)
+    _write_lines(line for _, line in _kekule_lines(_spec(args), "}\n"))
     return 0
-
-
-def _aromatic_tails(fragments: list[str]):
-    """Line endings of a structure's Clar covers, one list per block of
-    subset_blocks: the aromatic list's contents, then "]}\n"."""
-    for block in subset_blocks(fragments):
-        yield [", ".join(aromatic) + "]}\n" for aromatic in block]
 
 
 def _run_clar(args: SimpleNamespace) -> int:
     # A Clar cover line is its structure's kekule line, less the closing
-    # brace, plus the aromatic list, which depends on A alone. So the
-    # endings are built once per A when they fit in one block, and each
-    # block of lines goes out in one write.
+    # brace, plus the aromatic list, which depends on A alone. Each
+    # structure's covers go out in one write, or one per block of
+    # subset_blocks when A is too large to double out at once.
     write = sys.stdout.write
-    for fragments, lines in _kekule_lines(_spec(args)):
-        cached = list(_aromatic_tails(fragments)) if len(fragments) <= BLOCK_BITS else None
-        for line in lines:
-            prefix = line[:-1] + ', "aromatic": ['
-            for tails in cached or _aromatic_tails(fragments):
-                write(prefix + prefix.join(tails))
+    for (fragments, _, _, aromatic), prefix in _kekule_lines(_spec(args), ', "aromatic": [', True):
+        if aromatic is not None:
+            write(prefix + ("]}\n" + prefix).join(aromatic) + "]}\n")
+            continue
+        for block in subset_blocks(fragments):
+            write(prefix + ("]}\n" + prefix).join(map(", ".join, block)) + "]}\n")
     return 0
 
 

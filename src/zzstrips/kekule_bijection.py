@@ -11,24 +11,23 @@ it (0 if none). Both directions are implemented here, along with the
 full enumeration and the expansion of each structure into its Clar
 covers.
 
-The enumeration follows that split: ``kekule_groups`` yields each
-subset A with the maps mu of A, and ``enumerate_kekule`` flattens it
-into (A, mu) pairs. It costs per structure, not per subset: a subset A
-whose longest chain has more than n elements admits no map into [n],
-nor does any superset, so the walk over subsets cuts it off and visits
-only the subsets that have a map. A structure stands for the 2^|A|
-Clar covers whose aromatic rings are the subsets of A;
-``subset_blocks`` lists those subsets in ascending bitmask order, at
-most 2^BLOCK_BITS at a time, so a caller can write one block of covers
-at once in bounded memory.
+The enumeration reads the bijection from the offset side: the Kekule
+structures are exactly the order-preserving maps P -> {0..n}, of
+which there are Omega(P, n + 1) (Stanley, EC1 3.12). ``kekule_walk``
+lists those maps depth first, one step per map and none per subset,
+and reads A off each as it goes; ``enumerate_kekule`` turns its yields
+into (A, mu) pairs. A structure stands for the 2^|A| Clar covers whose
+aromatic rings are the subsets of A; ``subset_blocks`` lists those
+subsets in ascending bitmask order, at most 2^BLOCK_BITS at a time, so
+a caller can write one block of covers at once in bounded memory.
 """
 
 from __future__ import annotations
 
-from operator import add, ge, itemgetter
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from operator import ge
+from typing import Iterator, NamedTuple, Sequence, TypeVar
 
-from .dib_poset import Dib, DibPoset, _bits, build_poset
+from .dib_poset import Dib, DibPoset, _bits, build_poset, natural_labeling
 from .strip_geometry import StripSpec
 
 T = TypeVar("T")
@@ -149,194 +148,76 @@ def map_from_kekule(
     return OrderMap(tuple(selected), tuple(mu))
 
 
-def _short_subsets(
-    below: Sequence[int], above: Sequence[int], n: int, height: dict[int, int]
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(indices, mask) of every subset whose longest chain has at most n
-    elements, in ascending mask order, indices ascending.
+def kekule_walk(poset: DibPoset, n: int) -> Iterator[tuple[int, list[int]]]:
+    """Every Kekule structure exactly once, as (mask, values): mask has
+    bit i set when DIB i (canonical (k, j) index) is in A, values[i] is
+    DIB i's offset pos - j and values[p + i] its position.
 
-    The walk decides bits from the highest down, leaving each out before
-    putting it in, and keeps the height of every subset it has kept in
-    height. A longest chain of mask plus a new lowest bit t either
-    avoids t or splits at t into a chain below it and one above it, both
-    within subsets of mask that the walk has kept already. Height never
-    drops when a subset grows, so cutting off a taller one loses
-    nothing, and every subset of a yielded mask has been yielded, with
-    its height stored, before it."""
-    height[0] = 0
-    stack = [(len(below), 0, ())]
-    while stack:
-        t, mask, idx = stack.pop()
-        if t == 0:
-            yield idx, mask
-            continue
-        t -= 1
-        tall = max(height[mask], 1 + height[mask & below[t]] + height[mask & above[t]])
-        if tall <= n:
-            height[mask | 1 << t] = tall
-            stack.append((t, mask | 1 << t, (t, *idx)))
-        stack.append((t, mask, idx))
-
-
-def kekule_groups(
-    poset: DibPoset, n: int
-) -> Iterator[tuple[tuple[Dib, ...], Iterator[tuple[tuple[int, ...], tuple[int, ...]]]]]:
-    """Every Kekule structure exactly once, grouped by its subset A: one
-    (members, structures) pair per A, structures iterating the
-    (values, positions) of A's maps mu and their spread assignments.
-
-    Subsets A run in ascending bitmask order over the canonical DIB
-    order, so members are canonical; maps run in lexicographic value
-    order. A subset whose longest chain has more than n elements has no
-    strictly order-preserving map into [n] (its strict order polynomial
-    vanishes there, Stanley, EC1 3.12), so the walk over subsets never
-    visits it or any superset, and every group holds at least one
-    structure. The same bound, read from the heights the walk keeps,
-    confines each member of A: its value exceeds the height of the part
-    of A below it and is at most n less the height of the part above
-    it. Each DIB spreads to the largest value among the maximal members
-    of A at or below it, found for all DIBs in one pass over the lower
-    covers per subset. A group's structures stay valid after the walk
-    moves on.
+    The offsets are the weakly order-preserving maps P -> {0..n}, listed
+    in lexicographic order of the offset vector read in natural-label
+    order. The walk takes the DIBs in that order, depth first, and runs
+    each offset from the largest offset among its lower covers (0 if
+    none) up to n; a DIB is in A exactly when its offset is above that
+    lowest value. The last DIB runs its whole range in one inner loop.
+    values is one list, reused between yields: callers copy what they
+    keep.
     """
-    elements = poset.elements
     p = poset.p
-    below = poset.below_masks
-    above = [sum(1 << t for t in range(p) if below[t] >> i & 1) for i in range(p)]
-    offsets = tuple(e.j for e in elements)
-    # the poset's covers generate its order, so everything below a DIB
-    # lies at or below one of its lower covers
-    index = {e: i for i, e in enumerate(elements)}
-    lower_covers: list[list[int]] = [[] for _ in elements]
-    for a, b in poset.covers:
-        lower_covers[index[b]].append(index[a])
-    # the DIBs in a linear extension, each after everything below it
-    extension = [
-        (i, 1 << i, below[i], lower_covers[i])
-        for i in sorted(range(p), key=lambda i: bin(below[i]).count("1"))
-    ]
-    height: dict[int, int] = {}
-    for idx, mask in _short_subsets(below, above, n, height):
-        # A member whose chains through it span all of [n] takes one
-        # value in every map, and the bounds of the members above and
-        # below it already leave room for that value. The other members
-        # are free: each is placed within its bounds and against the
-        # free members placed before it, in ascending DIB order.
-        fixed, free, placed = [], [], 0
-        for i in idx:
-            low = height[mask & below[i]] + 1
-            high = n - height[mask & above[i]]
-            if low == high:
-                fixed.append((i, low))
-                continue
-            lower, upper = [*_bits(placed & below[i])], [*_bits(placed & above[i])]
-            free.append((i, low, high, lower, upper))
-            placed |= 1 << i
-        # shadow[i]: every DIB below a member of A at or below DIB i; the
-        # maximal such members are the members below i outside it
-        shadow = [0] * p
-        sources, several = [p] * p, []
-        for i, bit, lows, covers in extension:
-            if mask & bit:
-                shadow[i] = lows
-                sources[i] = i
-                continue
-            reach = 0
-            for c in covers:
-                reach |= shadow[c]
-            shadow[i] = reach
-            tops = mask & lows & ~reach
-            if tops & (tops - 1):
-                several.append((i, tuple(_bits(tops))))
-            elif tops:
-                sources[i] = tops.bit_length() - 1
-        members = tuple(elements[i] for i in idx)
-        yield members, _structures(idx, fixed, free, sources, several, offsets)
-
-
-def _tuple_getter(indices: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """itemgetter over one or more indices that always gives a tuple."""
-    if len(indices) == 1:
-        (index,) = indices
-        return lambda items: (items[index],)
-    return itemgetter(*indices)
-
-
-def _structures(
-    idx: tuple[int, ...],
-    fixed: list[tuple[int, int]],
-    free: list[tuple[int, int, int, list[int], list[int]]],
-    sources: list[int],
-    several: list[tuple[int, tuple[int, ...]]],
-    offsets: tuple[int, ...],
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """A subset's strictly order-preserving maps into [n], in
-    lexicographic order, each with its spread positions.
-
-    The members idx are fixed, as (DIB, value), or free, as (DIB, least
-    and greatest value, earlier free members below and above it), both
-    in ascending DIB order. A free member's value runs from one more
-    than its placed lower neighbours to one less than its placed upper
-    ones, within its bounds. Values live in a list indexed by DIB with a
-    last slot that stays 0: a DIB takes the value of slot sources[i], or
-    for those in several the largest of their slots, plus its offset j.
-    """
-    if not idx:
-        yield (), offsets
+    js = [e.j for e in poset.elements]
+    values = [0] * p + js
+    if not p:
+        yield 0, values
         return
-    values = [0] * (len(offsets) + 1)
-    for i, value in fixed:
-        values[i] = value
-    mu, spread = _tuple_getter(idx), _tuple_getter(sources)
-    maxima = [(i, _tuple_getter(tops), offsets[i]) for i, tops in several]
-
-    def structure() -> tuple[tuple[int, ...], tuple[int, ...]]:
-        positions = list(map(add, spread(values), offsets))
-        for i, tops, j in maxima:
-            positions[i] = max(tops(values)) + j
-        return mu(values), tuple(positions)
-
-    if not free:
-        yield structure()
-        return
-    last = len(free) - 1
-    highs = [0] * len(free)
-    first, low, highs[0], _, _ = free[0]
-    values[first] = low - 1
-    t = 0
-    while t >= 0:
-        i = free[t][0]
-        value = values[i] + 1
-        if value > highs[t]:
-            t -= 1
-            continue
-        values[i] = value
+    labeling = natural_labeling(poset)
+    order = sorted(range(p), key=lambda i: labeling.label_of(poset.elements[i]))
+    covers = [[order[c] for c in lows] for lows in labeling.lower_covers]
+    last = p - 1
+    masks = [0] * p
+    t, mask = -1, 0
+    while True:
+        # go down one depth: its DIB starts at its lowest offset, not in A
+        t += 1
+        i = order[t]
+        low = 0
+        for c in covers[t]:
+            if values[c] > low:
+                low = values[c]
         if t < last:
-            t += 1
-            i, low, high, lower, upper = free[t]
-            for s in lower:
-                if values[s] >= low:
-                    low = values[s] + 1
-            for s in upper:
-                if values[s] <= high:
-                    high = values[s] - 1
-            values[i] = low - 1
-            highs[t] = high
+            masks[t] = mask
+            values[i], values[p + i] = low, low + js[i]
             continue
-        # the last free member runs through its whole range at once
-        for value in range(value, highs[t] + 1):
-            values[i] = value
-            yield structure()
-        t -= 1
+        j = js[i]
+        values[i], values[p + i] = low, low + j
+        yield mask, values
+        mask |= 1 << i
+        for value in range(low + 1, n + 1):
+            values[i], values[p + i] = value, value + j
+            yield mask, values
+        # back up to the deepest DIB that can still grow, and grow it
+        while True:
+            t -= 1
+            if t < 0:
+                return
+            i = order[t]
+            value = values[i] + 1
+            if value <= n:
+                break
+        values[i], values[p + i] = value, value + js[i]
+        mask = masks[t] | 1 << i
 
 
 def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignment]]:
     """Every Kekule structure exactly once, as its (A, mu) pair plus the
-    spread position assignment, in the order of ``kekule_groups``."""
+    position assignment, in the order of ``kekule_walk``: offset vectors
+    ascending lexicographically, read in natural-label order."""
     poset = build_poset(spec)
-    for members, structures in kekule_groups(poset, spec.n):
-        for values, positions in structures:
-            yield OrderMap(members, values), KekuleAssignment(poset.elements, positions)
+    elements, p = poset.elements, poset.p
+    for mask, values in kekule_walk(poset, spec.n):
+        idx = [*_bits(mask)]
+        yield (
+            OrderMap(tuple(elements[i] for i in idx), tuple(values[i] for i in idx)),
+            KekuleAssignment(elements, tuple(values[p:])),
+        )
 
 
 # Subsets are doubled out over at most this many members at once, so a
@@ -364,8 +245,9 @@ def subset_blocks(items: Sequence[T]) -> Iterator[list[tuple[T, ...]]]:
 
 
 def generate_clar_covers(spec: StripSpec) -> Iterator[ClarCoverRecord]:
-    """Expand each Kekule structure into its 2^|A| Clar covers, the
-    aromatic sets in ascending bitmask order over A."""
+    """Expand each Kekule structure, in the order of ``enumerate_kekule``,
+    into its 2^|A| Clar covers, the aromatic sets in ascending bitmask
+    order over A, as ``subset_blocks`` lists them."""
     for om, ka in enumerate_kekule(spec):
         for block in subset_blocks(om.elements):
             for aromatic in block:

@@ -367,6 +367,20 @@ class TestClarLineEncoding:
         assert split == whole
 
 
+class TestSubsetEntryBounds:
+    # WWRNN 3 and 5 fill neither cache at the default bounds (56 and 64
+    # subsets A); at 1 every entry is dropped before each new A
+    @pytest.mark.parametrize("text", ["WWRNN 3", "WWRNN 5"])
+    @pytest.mark.parametrize("mode", ["kekule", "clar"])
+    def test_bounds_of_one_write_the_same_lines(self, capsys, monkeypatch, mode, text):
+        _, whole, _ = run_cli(capsys, mode, text)
+        monkeypatch.setattr("zzstrips.cli._ENTRIES", 1)
+        monkeypatch.setattr("zzstrips.cli._TAILS_HELD", 1)
+        code, bounded, _ = run_cli(capsys, mode, text)
+        assert code == 0
+        assert bounded == whole
+
+
 class TestOracleMode:
     def test_agreement(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "WRN 2")

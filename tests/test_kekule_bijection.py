@@ -23,8 +23,7 @@ from zzstrips import (
 from zzstrips.kekule_bijection import (
     BLOCK_BITS,
     KekuleAssignment,
-    _short_subsets,
-    kekule_groups,
+    kekule_walk,
     subset_blocks,
 )
 
@@ -34,7 +33,7 @@ from reference import binom, brute_force_strict_maps, descent_stats, linear_exte
 PARA = StripSpec(tuple("WRN"), 2)
 
 # m = 4 and 5 strips at n = 1, 2, where most subsets are taller than n
-# and the walk over subsets cuts them off
+# and so are no A of any structure
 PRUNED = [StripSpec(tuple(shapes), n) for shapes in ("WWRNN", "WWRRNN", "WWWNNN") for n in (1, 2)]
 
 
@@ -113,9 +112,8 @@ class TestOrderMapChecks:
             OrderMap(elements=elements, values=values)
 
     def test_enumerated_maps_equal_checked_ones(self, small_catalog):
-        # enumerate_kekule checks each subset once and builds its maps
-        # without the per-map check; they must be the maps the checked
-        # constructor gives
+        # enumerate_kekule reads its maps off the walk's masks and
+        # offsets; they must be the maps the checked constructor gives
         for spec in small_catalog:
             for om, _ in enumerate_kekule(spec):
                 checked = OrderMap(om.elements, om.values)
@@ -390,31 +388,25 @@ class TestClarCovers:
 class TestEnumerationOrder:
     def test_parallelogram_order_pinned(self):
         s11, s21 = Dib(1, 1), Dib(2, 1)
+        # s(1,1) carries label 1 and s(2,1) label 2, so the offset
+        # vectors run (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)
         pairs = [(om.elements, om.values) for om, _ in enumerate_kekule(PARA)]
         assert pairs == [
             ((), ()),
-            ((s11,), (1,)),
-            ((s11,), (2,)),
             ((s21,), (1,)),
             ((s21,), (2,)),
+            ((s11,), (1,)),
             ((s11, s21), (1, 2)),
+            ((s11,), (2,)),
         ]
 
     def test_masks_ascend_and_values_follow_brute_force(self, small_catalog):
-        # within each subset A (ascending bitmask over the canonical DIB
-        # order) the maps come in the lexicographic order of the
-        # independent brute-force enumeration over the induced subposet
+        # the independent brute-force (A, mu) list, sorted by the offset
+        # vector read in natural-label order
         for spec in [*small_catalog, *PRUNED]:
             poset = build_poset(spec)
-            elements = poset.elements
-            expected = []
-            for mask in range(1 << poset.p):
-                members = tuple(elements[i] for i in range(poset.p) if mask >> i & 1)
-                sub = poset.subposet(members)
-                for m in brute_force_strict_maps(sub, spec.n):
-                    expected.append((members, tuple(m[e] for e in members)))
-            got = [(om.elements, om.values) for om, _ in enumerate_kekule(spec)]
-            assert got == expected, spec
+            got = [(om.elements, om.values, ka.positions) for om, ka in enumerate_kekule(spec)]
+            assert got == _walk_order(poset, _brute_force_groups(poset, spec.n)), spec
 
     @pytest.mark.parametrize("spec", PRUNED, ids=str)
     def test_subsets_are_those_no_taller_than_n(self, spec):
@@ -437,39 +429,55 @@ class TestEnumerationOrder:
                 assert ka == kekule_from_map(spec, om, poset=poset)
 
 
-class TestKekuleGroups:
-    def test_flattened_groups_equal_enumeration(self, small_catalog):
-        for spec in small_catalog:
-            flat = [
-                (members, values, positions)
-                for members, structures in kekule_groups(build_poset(spec), spec.n)
-                for values, positions in structures
-            ]
-            expected = [(om.elements, om.values, ka.positions) for om, ka in enumerate_kekule(spec)]
-            assert flat == expected, spec
+def _walk_triples(poset, n):
+    """Copies of the walk's yields as (A, mu, positions) triples."""
+    elements, p = poset.elements, poset.p
+    triples = []
+    for mask, values in kekule_walk(poset, n):
+        idx = [i for i in range(p) if mask >> i & 1]
+        triples.append(
+            (tuple(elements[i] for i in idx), tuple(values[i] for i in idx), tuple(values[p:]))
+        )
+    return triples
 
-    def test_each_subset_once_in_ascending_mask_order(self, small_catalog):
+
+def _walk_order(poset, triples):
+    """(A, mu, positions) triples sorted by their offsets pos - j, read
+    in natural-label order."""
+    index = {e: i for i, e in enumerate(poset.elements)}
+    labels = [index[e] for e in natural_labeling(poset).elements_by_label]
+    js = [e.j for e in poset.elements]
+    return sorted(triples, key=lambda t: [t[2][i] - js[i] for i in labels])
+
+
+class TestKekuleWalk:
+    def test_copied_yields_equal_enumeration(self, small_catalog):
+        for spec in small_catalog:
+            expected = [(om.elements, om.values, ka.positions) for om, ka in enumerate_kekule(spec)]
+            assert _walk_triples(build_poset(spec), spec.n) == expected, spec
+
+    def test_offset_vectors_strictly_ascend(self, small_catalog):
+        # in natural-label order, so each structure comes exactly once
         for spec in small_catalog:
             poset = build_poset(spec)
             index = {e: i for i, e in enumerate(poset.elements)}
-            masks = [
-                sum(1 << index[e] for e in members)
-                for members, _ in kekule_groups(poset, spec.n)
-            ]
-            assert masks == sorted(set(masks)), spec
+            labels = [index[e] for e in natural_labeling(poset).elements_by_label]
+            vectors = [[values[i] for i in labels] for _, values in kekule_walk(poset, spec.n)]
+            assert all(a < b for a, b in zip(vectors, vectors[1:])), spec
 
-    def test_groups_drain_after_the_walk_moves_on(self, small_catalog):
-        # every group collected first, drained afterwards: a group whose
-        # structures read state the walk has moved past gives other maps
+    def test_kept_copies_stay_valid(self, small_catalog):
+        # every yield copied first, checked after the walk has ended: each
+        # copy's mask and offsets are the (A, mu) of its positions
         for spec in small_catalog:
             poset = build_poset(spec)
-            groups = list(kekule_groups(poset, spec.n))
-            late = [(members, list(structures)) for members, structures in groups]
-            eager = [
-                (members, list(structures))
-                for members, structures in kekule_groups(poset, spec.n)
-            ]
-            assert late == eager, spec
+            p, elements = poset.p, poset.elements
+            kept = [(mask, values.copy()) for mask, values in kekule_walk(poset, spec.n)]
+            for mask, values in kept:
+                ka = KekuleAssignment(elements, tuple(values[p:]))
+                om = map_from_kekule(spec, ka, poset=poset)
+                idx = [i for i in range(p) if mask >> i & 1]
+                assert om == OrderMap(tuple(elements[i] for i in idx), tuple(values[i] for i in idx))
+                assert values[:p] == [pos - e.j for e, pos in zip(elements, ka.positions)]
 
 
 # The brute force below tries n^|A| values on every subset A, (n + 1)^p
@@ -521,20 +529,15 @@ TWO_TOPS = DibPoset(
 )
 
 
-class TestKekuleGroupsBruteForce:
+class TestKekuleWalkBruteForce:
     @settings(max_examples=100, deadline=None)
     @given(posets_and_lengths())
     @example((ANTICHAIN, 2))
     @example((TWO_TOPS, 2))
     @example((TWO_TOPS, 3))
-    def test_flattened_groups_equal_brute_force(self, case):
+    def test_walk_equals_brute_force(self, case):
         poset, n = case
-        flat = [
-            (members, values, positions)
-            for members, structures in kekule_groups(poset, n)
-            for values, positions in structures
-        ]
-        assert flat == _brute_force_groups(poset, n)
+        assert _walk_triples(poset, n) == _walk_order(poset, _brute_force_groups(poset, n))
 
 
 class TestClarRecordOrderMap:
@@ -565,20 +568,7 @@ def _heights(poset):
 
 
 class TestShortSubsets:
-    def test_walk_yields_the_subsets_no_taller_than_n(self, small_catalog):
-        for spec in [*small_catalog[:20], *PRUNED]:
-            poset = build_poset(spec)
-            p, below = poset.p, poset.below_masks
-            above = [sum(1 << t for t in range(p) if below[t] >> i & 1) for i in range(p)]
-            height = _heights(poset)
-            for n in range(p + 2):
-                expected = [
-                    (tuple(i for i in range(p) if mask >> i & 1), mask)
-                    for mask in range(1 << p)
-                    if height[mask] <= n
-                ]
-                assert list(_short_subsets(below, above, n, {})) == expected, (spec, n)
-
+    # at n = 1 every A is an antichain, a sliver of the 2^p subsets
     @pytest.mark.parametrize("shapes,count", [("WWWWWNNNNN", 252), ("WWWWWWWNNNNNNN", 3432)])
     def test_large_flakes_at_n_1(self, shapes, count):
         # p = 25 and p = 49, with 2^p subsets to the ZZ(0) structures

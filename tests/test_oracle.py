@@ -171,6 +171,11 @@ class TestCountClarCovers:
         graph = build_graph(StripSpec(tuple("WNNWWN"), 4))
         assert count_clar_covers(graph).is_zero
 
+    def test_value_at_minus_one_is_one(self, small_catalog):
+        # ZZ(S, -1) = 1 (Zhang and Zhang), read off the graph alone
+        for spec in small_catalog:
+            assert count_clar_covers(build_graph(spec)).evaluate(-1) == 1, spec
+
 
 class TestCountSextetMatchings:
     def test_equals_enumeration_on_small_catalog(self, small_catalog):

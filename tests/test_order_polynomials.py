@@ -388,6 +388,25 @@ def _small_subposets(draw):
     return poset.subposet(members)
 
 
+
+class TestValuesAtMinusOne:
+    """At z = 1 + x = 0 the sum E(n, z) = sum over A of the strict order
+    polynomial of A at n times z^|A| keeps two terms: the empty A gives
+    1, and each of the p one-element A gives n strict maps. So
+    ZZ(S_n, -1) = 1 (Zhang and Zhang) and ZZ'(S_n, -1) = p n."""
+
+    def test_closed_forms_of_the_catalog(self):
+        checks = 0
+        for shapes in catalog_shapes(8):
+            cf = closed_form(StripSpec(shapes, 2))
+            for n in (2, 5, 11):
+                coeffs = cf.evaluate(n).coeffs
+                assert sum(c * (-1) ** k for k, c in enumerate(coeffs)) == 1, (shapes, n)
+                slope = sum(k * c * (-1) ** (k - 1) for k, c in enumerate(coeffs))
+                assert slope == cf.p * n, (shapes, n)
+                checks += 1
+        assert checks == 3 * 1148
+
 class TestReciprocity:
     """Stanley, EC1 3.15: the strict order polynomial at -n is (-1)^p
     times the order polynomial at n, which counts weakly
