@@ -23,13 +23,12 @@ import itertools
 import json
 import os
 import sys
-from operator import itemgetter
 from types import SimpleNamespace
 
-from .dib_poset import build_poset, natural_labeling
+from .dib_poset import Dib, build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
 from .extension_engine import extension_records
-from .kekule_bijection import BLOCK_BITS, kekule_walk, subset_blocks
+from .kekule_bijection import BLOCK_BITS, CellTable, kekule_walk, subset_blocks
 from .order_polynomials import ZzPolynomial, closed_form, zz_polynomial
 from .oracle import count_clar_covers, count_sextet_matchings
 from .strip_geometry import (
@@ -43,8 +42,8 @@ from .strip_geometry import (
 
 # lines per write to stdout in the line-streaming modes
 _LINE_BLOCK = 256
-# kekule and clar keep the entries of at most this many subsets A, and
-# clar about this many aromatic strings in them
+# clar keeps the aromatic strings of at most this many subsets A, and
+# about this many strings in all
 _ENTRIES = 4096
 _TAILS_HELD = 8192
 
@@ -310,63 +309,72 @@ def _run_closed_form(args: SimpleNamespace) -> int:
     return 0
 
 
-def _kekule_lines(spec: StripSpec, end: str, tails: bool = False):
-    """Per Kekule structure, in the order of kekule_walk, the entry of
-    its subset A and its line, which ends in end. An entry holds A's
-    {"k", "j"} fragments, its line template and getter, and with tails
-    the contents of its 2^|A| aromatic lists, doubled out in ascending
-    mask order, when A has at most BLOCK_BITS members (else None).
+def _dib_cells(
+    dib: Dib, fragment: str, n: int, first: bool, last: bool, end: str
+) -> tuple[CellTable, CellTable]:
+    """DIB dib's kekule_walk cells, outside A and in A, for a line that
+    ends in end: its A piece (its fragment in A), mu and pos pieces. The
+    first DIB's pieces open the lists and the last DIB's close them. A
+    member's A and mu pieces, and every pos piece but the first, open
+    with ", ", so a joined line has "[, " where A or mu starts; replacing
+    it by "[" mends the line, as no fragment, number or [k, pos] piece
+    contains "[, "."""
+    head = '{"A": [' if first else ""
+    a_end, mu_end, pos_end = ('], "mu": [', '], "pos": [', end) if last else ("", "", "")
+    pos = f"{'' if first else ', '}[{dib.k}, %d]{pos_end}"
+    out_a, in_a, j = head + a_end, f"{head}, {fragment}{a_end}", dib.j
+    return (CellTable(lambda v: (out_a, mu_end, pos % (v + j)), n),
+            CellTable(lambda v: (in_a, f", {v}{mu_end}", pos % (v + j)), n))
 
-    A kekule line equals json.dumps of the {"A", "mu", "pos"} dict, as
-    an int prints the same under %d. Each DIB's fragment is encoded
-    once per request. An entry is built when its A comes and kept until
-    the entries hold _ENTRIES subsets or _TAILS_HELD aromatic strings;
-    then all are dropped, so memory stays bounded whatever the strip.
-    """
+
+def _kekule_rows(spec: StripSpec, end: str):
+    """The {"k", "j"} fragments of spec's DIBs, and kekule_walk over
+    spec with _dib_cells. A kekule line, the row joined and mended, is
+    json.dumps of the structure's {"A", "mu", "pos"} dict."""
     poset = build_poset(spec)
-    p = poset.p
-    encoded = [json.dumps({"k": d.k, "j": d.j}) for d in poset.elements]
-    pos = ", ".join(f"[{d.k}, %d]" for d in poset.elements)
-    entries, held = {}, 0
-    for mask, values in kekule_walk(poset, spec.n):
-        entry = entries.get(mask)
-        if entry is None:
-            if len(entries) >= _ENTRIES or held >= _TAILS_HELD:
-                entries.clear()
-                held = 0
-            idx = [i for i in range(p) if mask >> i & 1]
-            fragments = [encoded[i] for i in idx]
-            template = (
-                '{"A": [' + ", ".join(fragments) + '], "mu": ['
-                + ", ".join(["%d"] * len(idx)) + '], "pos": [' + pos + "]" + end
-            )
-            aromatic = [""] if tails and len(idx) <= BLOCK_BITS else None
-            if aromatic:
-                for f in fragments:
-                    aromatic += [f] + [a + ", " + f for a in aromatic[1:]]
-                held += len(aromatic)
-            getter = itemgetter(*idx, *range(p, 2 * p))  # mu, then every position
-            entry = entries[mask] = (fragments, template, getter, aromatic)
-        yield entry, entry[1] % entry[2](values)
+    fragments = [json.dumps({"k": d.k, "j": d.j}) for d in poset.elements]
+    last = poset.p - 1
+    cells = [
+        _dib_cells(d, f, spec.n, i == 0, i == last, end)
+        for i, (d, f) in enumerate(zip(poset.elements, fragments))
+    ]
+    return fragments, kekule_walk(poset, spec.n, cells)
 
 
 def _run_kekule(args: SimpleNamespace) -> int:
-    _write_lines(line for _, line in _kekule_lines(_spec(args), "}\n"))
+    _, rows = _kekule_rows(_spec(args), "]}\n")
+    _write_lines("".join(row).replace("[, ", "[") for _, row in rows)
     return 0
 
 
 def _run_clar(args: SimpleNamespace) -> int:
-    # A Clar cover line is its structure's kekule line, less the closing
-    # brace, plus the aromatic list, which depends on A alone. Each
+    # A Clar cover line is its structure's kekule line with the aromatic
+    # list, which depends on A alone, before the closing brace. Each
     # structure's covers go out in one write, or one per block of
-    # subset_blocks when A is too large to double out at once.
+    # subset_blocks when A is too large to double out at once. The
+    # bounds keep the cache's memory constant whatever the strip.
+    fragments, rows = _kekule_rows(_spec(args), '], "aromatic": [')
+    p = len(fragments)
     write = sys.stdout.write
-    for (fragments, _, _, aromatic), prefix in _kekule_lines(_spec(args), ', "aromatic": [', True):
-        if aromatic is not None:
-            write(prefix + ("]}\n" + prefix).join(aromatic) + "]}\n")
-            continue
-        for block in subset_blocks(fragments):
-            write(prefix + ("]}\n" + prefix).join(map(", ".join, block)) + "]}\n")
+    tails, held = {}, 0
+    for mask, row in rows:
+        prefix = "".join(row).replace("[, ", "[")
+        aromatic = tails.get(mask)
+        if aromatic is None:
+            members = [fragments[i] for i in range(p) if mask >> i & 1]
+            if len(members) > BLOCK_BITS:
+                for block in subset_blocks(members):
+                    write(prefix + ("]}\n" + prefix).join(map(", ".join, block)) + "]}\n")
+                continue
+            if len(tails) >= _ENTRIES or held >= _TAILS_HELD:
+                tails.clear()
+                held = 0
+            aromatic = [""]
+            for f in members:
+                aromatic += [f] + [a + ", " + f for a in aromatic[1:]]
+            tails[mask] = aromatic
+            held += len(aromatic)
+        write(prefix + ("]}\n" + prefix).join(aromatic) + "]}\n")
     return 0
 
 

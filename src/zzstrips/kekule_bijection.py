@@ -15,17 +15,21 @@ The enumeration reads the bijection from the offset side: the Kekule
 structures are exactly the order-preserving maps P -> {0..n}, of
 which there are Omega(P, n + 1) (Stanley, EC1 3.12). ``kekule_walk``
 lists those maps depth first, one step per map and none per subset,
-and reads A off each as it goes; ``enumerate_kekule`` turns its yields
-into (A, mu) pairs. A structure stands for the 2^|A| Clar covers whose
-aromatic rings are the subsets of A; ``subset_blocks`` lists those
-subsets in ascending bitmask order, at most 2^BLOCK_BITS at a time, so
-a caller can write one block of covers at once in bounded memory.
+and reads A off each as it goes, writing the caller's cell for each
+offset it sets into one row; ``enumerate_kekule`` turns the rows of
+``offset_cells`` into (A, mu) pairs. A ``CellTable`` renders cells on
+first use and holds a bounded number of them.
+
+A structure stands for the 2^|A| Clar covers whose aromatic rings are
+the subsets of A; ``subset_blocks`` lists those subsets in ascending
+bitmask order, at most 2^BLOCK_BITS at a time, so a caller can write
+one block of covers at once in bounded memory.
 """
 
 from __future__ import annotations
 
 from operator import ge
-from typing import Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .dib_poset import Dib, DibPoset, _bits, build_poset, natural_labeling
 from .strip_geometry import StripSpec
@@ -148,10 +152,49 @@ def map_from_kekule(
     return OrderMap(tuple(selected), tuple(mu))
 
 
-def kekule_walk(poset: DibPoset, n: int) -> Iterator[tuple[int, list[int]]]:
-    """Every Kekule structure exactly once, as (mask, values): mask has
-    bit i set when DIB i (canonical (k, j) index) is in A, values[i] is
-    DIB i's offset pos - j and values[p + i] its position.
+CELL_RUN = 64
+CELLS_HELD = 4096
+
+
+class CellTable(dict):
+    """Offset -> cell for the offsets 0..n, each cell render(offset),
+    rendered on first use together with the next offsets up to CELL_RUN
+    in all. All cells are dropped before a run would take the table past
+    CELLS_HELD, so its memory does not grow with n."""
+
+    __slots__ = ("render", "stop")
+
+    def __init__(self, render: Callable[[int], tuple], n: int) -> None:
+        super().__init__()
+        self.render, self.stop = render, n + 1
+
+    def __missing__(self, offset: int) -> tuple:
+        if len(self) > CELLS_HELD - CELL_RUN:
+            self.clear()
+        render = self.render
+        run = {v: render(v) for v in range(offset, min(offset + CELL_RUN, self.stop))}
+        self.update(run)
+        return run[offset]
+
+
+def offset_cells(poset: DibPoset, n: int) -> list[tuple[CellTable, CellTable]]:
+    """The cells that make ``kekule_walk``'s rows the offsets and then the
+    positions: DIB i's cell at offset v is (v, v + j), in A or not."""
+    cells = []
+    for e in poset.elements:
+        table = CellTable(lambda v, j=e.j: (v, v + j), n)
+        cells.append((table, table))
+    return cells
+
+
+def kekule_walk(
+    poset: DibPoset, n: int, cells: Sequence[tuple[Sequence[tuple], Sequence[tuple]]]
+) -> Iterator[tuple[int, list]]:
+    """Every Kekule structure exactly once, as (mask, row): mask has bit
+    i set when DIB i (canonical (k, j) index) is in A, and row[c * p + i]
+    is piece c of DIB i's cell. cells[i][in_a][v], read at offsets v in
+    0..n only, is DIB i's cell at offset v = pos - j, in A when in_a;
+    all cells have the same number of pieces.
 
     The offsets are the weakly order-preserving maps P -> {0..n}, listed
     in lexicographic order of the offset vector read in natural-label
@@ -159,18 +202,22 @@ def kekule_walk(poset: DibPoset, n: int) -> Iterator[tuple[int, list[int]]]:
     each offset from the largest offset among its lower covers (0 if
     none) up to n; a DIB is in A exactly when its offset is above that
     lowest value. The last DIB runs its whole range in one inner loop.
-    values is one list, reused between yields: callers copy what they
+    Setting an offset writes its cell into row, one slice assignment.
+    row is one list, reused between yields: callers copy what they
     keep.
     """
     p = poset.p
-    js = [e.j for e in poset.elements]
-    values = [0] * p + js
     if not p:
-        yield 0, values
+        yield 0, []
         return
     labeling = natural_labeling(poset)
     order = sorted(range(p), key=lambda i: labeling.label_of(poset.elements[i]))
     covers = [[order[c] for c in lows] for lows in labeling.lower_covers]
+    outside = [out for out, _ in cells]
+    inside = [in_a for _, in_a in cells]
+    # sized by one cell; every DIB's cell is written before the first yield
+    row = list(outside[0][0]) * p
+    offsets = [0] * p
     last = p - 1
     masks = [0] * p
     t, mask = -1, 0
@@ -180,29 +227,30 @@ def kekule_walk(poset: DibPoset, n: int) -> Iterator[tuple[int, list[int]]]:
         i = order[t]
         low = 0
         for c in covers[t]:
-            if values[c] > low:
-                low = values[c]
+            if offsets[c] > low:
+                low = offsets[c]
+        offsets[i] = low
+        row[i::p] = outside[i][low]
         if t < last:
             masks[t] = mask
-            values[i], values[p + i] = low, low + js[i]
             continue
-        j = js[i]
-        values[i], values[p + i] = low, low + j
-        yield mask, values
+        yield mask, row
         mask |= 1 << i
+        cells_in = inside[i]
         for value in range(low + 1, n + 1):
-            values[i], values[p + i] = value, value + j
-            yield mask, values
+            row[i::p] = cells_in[value]
+            yield mask, row
         # back up to the deepest DIB that can still grow, and grow it
         while True:
             t -= 1
             if t < 0:
                 return
             i = order[t]
-            value = values[i] + 1
+            value = offsets[i] + 1
             if value <= n:
                 break
-        values[i], values[p + i] = value, value + js[i]
+        offsets[i] = value
+        row[i::p] = inside[i][value]
         mask = masks[t] | 1 << i
 
 
@@ -212,7 +260,7 @@ def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignme
     ascending lexicographically, read in natural-label order."""
     poset = build_poset(spec)
     elements, p = poset.elements, poset.p
-    for mask, values in kekule_walk(poset, spec.n):
+    for mask, values in kekule_walk(poset, spec.n, offset_cells(poset, spec.n)):
         idx = [*_bits(mask)]
         yield (
             OrderMap(tuple(elements[i] for i in idx), tuple(values[i] for i in idx)),

@@ -323,8 +323,11 @@ class TestEnumerationModes:
 
 
 class TestKekuleLineEncoding:
-    # WWRNN 5 has 1,176 structures: five blocks of writes
-    @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2", "WWRNN 5"])
+    # WWRNN 5 has 1,176 structures: five blocks of writes; WRN 12 has
+    # two-digit offsets and positions, WWWRNNN 3 16 DIBs
+    @pytest.mark.parametrize(
+        "text", ["WN 1", "WRN 2", "WWRNN 2", "WWRNN 5", "WRN 12", "WWWRNNN 3"]
+    )
     def test_lines_equal_json_dumps(self, capsys, text):
         expected = [
             json.dumps({
@@ -340,7 +343,7 @@ class TestKekuleLineEncoding:
 
 
 class TestClarLineEncoding:
-    @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2"])
+    @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2", "WRN 12"])
     def test_lines_equal_json_dumps(self, capsys, text):
         spec = parse_strip(text)
         expected = []
@@ -377,6 +380,19 @@ class TestSubsetEntryBounds:
         monkeypatch.setattr("zzstrips.cli._ENTRIES", 1)
         monkeypatch.setattr("zzstrips.cli._TAILS_HELD", 1)
         code, bounded, _ = run_cli(capsys, mode, text)
+        assert code == 0
+        assert bounded == whole
+
+
+class TestCellBounds:
+    # at a bound and a run of 1 every cell table drops its one cell
+    # before it renders the next
+    @pytest.mark.parametrize("mode", ["kekule", "clar"])
+    def test_bound_of_one_writes_the_same_lines(self, capsys, monkeypatch, mode):
+        _, whole, _ = run_cli(capsys, mode, "WWRNN 5")
+        monkeypatch.setattr("zzstrips.kekule_bijection.CELLS_HELD", 1)
+        monkeypatch.setattr("zzstrips.kekule_bijection.CELL_RUN", 1)
+        code, bounded, _ = run_cli(capsys, mode, "WWRNN 5")
         assert code == 0
         assert bounded == whole
 

@@ -22,8 +22,10 @@ from zzstrips import (
 )
 from zzstrips.kekule_bijection import (
     BLOCK_BITS,
+    CELLS_HELD,
     KekuleAssignment,
     kekule_walk,
+    offset_cells,
     subset_blocks,
 )
 
@@ -433,7 +435,7 @@ def _walk_triples(poset, n):
     """Copies of the walk's yields as (A, mu, positions) triples."""
     elements, p = poset.elements, poset.p
     triples = []
-    for mask, values in kekule_walk(poset, n):
+    for mask, values in kekule_walk(poset, n, offset_cells(poset, n)):
         idx = [i for i in range(p) if mask >> i & 1]
         triples.append(
             (tuple(elements[i] for i in idx), tuple(values[i] for i in idx), tuple(values[p:]))
@@ -462,7 +464,8 @@ class TestKekuleWalk:
             poset = build_poset(spec)
             index = {e: i for i, e in enumerate(poset.elements)}
             labels = [index[e] for e in natural_labeling(poset).elements_by_label]
-            vectors = [[values[i] for i in labels] for _, values in kekule_walk(poset, spec.n)]
+            walk = kekule_walk(poset, spec.n, offset_cells(poset, spec.n))
+            vectors = [[values[i] for i in labels] for _, values in walk]
             assert all(a < b for a, b in zip(vectors, vectors[1:])), spec
 
     def test_kept_copies_stay_valid(self, small_catalog):
@@ -471,7 +474,8 @@ class TestKekuleWalk:
         for spec in small_catalog:
             poset = build_poset(spec)
             p, elements = poset.p, poset.elements
-            kept = [(mask, values.copy()) for mask, values in kekule_walk(poset, spec.n)]
+            walk = kekule_walk(poset, spec.n, offset_cells(poset, spec.n))
+            kept = [(mask, values.copy()) for mask, values in walk]
             for mask, values in kept:
                 ka = KekuleAssignment(elements, tuple(values[p:]))
                 om = map_from_kekule(spec, ka, poset=poset)
@@ -538,6 +542,36 @@ class TestKekuleWalkBruteForce:
     def test_walk_equals_brute_force(self, case):
         poset, n = case
         assert _walk_triples(poset, n) == _walk_order(poset, _brute_force_groups(poset, n))
+        # cells tagged by membership: every row's tags are its mask's bits,
+        # and its values the offsets of the walk with int cells
+        p = poset.p
+        tagged = [
+            ([("out", v) for v in range(n + 1)], [("in", v) for v in range(n + 1)])
+            for _ in range(p)
+        ]
+        rows = [(mask, row.copy()) for mask, row in kekule_walk(poset, n, tagged)]
+        walk = kekule_walk(poset, n, offset_cells(poset, n))
+        ints = [(mask, values.copy()) for mask, values in walk]
+        assert [mask for mask, _ in rows] == [mask for mask, _ in ints]
+        for (mask, row), (_, values) in zip(rows, ints):
+            assert row[:p] == ["in" if mask >> i & 1 else "out" for i in range(p)]
+            assert row[p:] == values[:p]
+
+
+class TestCellTables:
+    def test_walk_keeps_tables_within_bound(self):
+        # at p = 1 the walk runs the DIB's 5,001 offsets in turn, so full
+        # tables would hold every one of them
+        spec = StripSpec(tuple("WN"), 5000)
+        poset = build_poset(spec)
+        cells = offset_cells(poset, spec.n)
+        tables = [table for pair in cells for table in pair]
+        rows, largest = [], 0
+        for _, values in kekule_walk(poset, spec.n, cells):
+            rows.append(values.copy())
+            largest = max(largest, *map(len, tables))
+        assert rows == [[v, v + 1] for v in range(spec.n + 1)]
+        assert largest <= CELLS_HELD
 
 
 class TestClarRecordOrderMap:
