@@ -251,7 +251,7 @@ def _run_zz(args: SimpleNamespace) -> int:
         except ValueError:
             raise StripParseError(f"bad --n-range {args.n_range!r}, expected A..B") from None
         if lo < 1 or hi < lo:
-            raise StripParseError(f"bad --n-range {args.n_range!r}")
+            raise StripParseError(f"bad --n-range {args.n_range!r}: n starts at 1 and A <= B")
         if args.length is not None:
             raise StripParseError("give n once: --length or --n-range")
     spec = _spec(args, lo)
@@ -275,14 +275,28 @@ def _run_zz(args: SimpleNamespace) -> int:
     if args.fmt == "json":
         head = '{"shapes": [' + ", ".join(f'"{c}"' for c in spec.shapes) + '], "n": '
         tail = "]}}\n" if cf is None else ']}, "closed_form": ' + cf.to_json() + "}\n"
+    if args.fmt == "json" and cf is not None and hi > lo:
+        # A range fills one %-template per coefficient count, each built
+        # once; no encoded part holds a "%". A single n joins its line
+        # directly, as it would use its template once.
+        templates: dict[int, str] = {}
+        head += '%d, "zz": {"coeffs": ['
 
-    def line(n: int, zz: ZzPolynomial) -> str:
-        if cf is None:
-            print(warning, file=sys.stderr)
-        if args.fmt == "json":
-            coeffs = ", ".join(map(str, zz.coeffs))
-            return f'{head}{n}, "zz": {{"coeffs": [{coeffs}{tail}'
-        return (zz.to_latex() if args.fmt == "latex" else str(zz)) + "\n"
+        def line(n: int, zz: ZzPolynomial) -> str:
+            values = (n, *zz.coeffs)
+            template = templates.get(len(values))
+            if template is None:
+                template = head + ", ".join(["%d"] * len(zz.coeffs)) + tail
+                templates[len(values)] = template
+            return template % values
+    else:
+        def line(n: int, zz: ZzPolynomial) -> str:
+            if cf is None:
+                print(warning, file=sys.stderr)
+            if args.fmt == "json":
+                coeffs = ", ".join(map(str, zz.coeffs))
+                return f'{head}{n}, "zz": {{"coeffs": [{coeffs}{tail}'
+            return (zz.to_latex() if args.fmt == "latex" else str(zz)) + "\n"
 
     _write_lines(map(line, range(lo, hi + 1), polys))
     return 0

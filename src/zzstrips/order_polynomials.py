@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -203,48 +204,69 @@ class ClosedForm(
         """evaluate(n) for n = lo..hi in turn; nothing when hi < lo.
 
         Each x^i coefficient is a polynomial in n of degree <= p, so its
-        (p+1)-th difference vanishes. The first d + 1 values, with
-        d = min(p, hi - lo), come from evaluate. When more follow, the
-        difference table holds one packed int per row, each coefficient
-        in a slot of its own, and every later n costs d additions of
-        those ints plus one unpack of the p + 1 slots of the first row.
+        (p+1)-th difference vanishes. A range of at most p + 1 values
+        comes from evaluate. A longer one reads each row off one int,
+        E(n, 1 + 2^W) = ZZ(S_n, 2^W), whose W-bit slots hold the
+        coefficients of ZZ(S_n, x) (Kronecker substitution): the first
+        p + 1 such ints are computed directly and seed a difference
+        table of them, and every later n costs p additions. Slots are
+        64 bits wide when ZZ(S_hi, 1) < 2^64, and a row then decodes in
+        one to_bytes and one struct unpack; wider slots decode by shift
+        and mask.
         """
         if lo < 0:
             raise ValueError("n must be nonnegative")
         return self._stepped(lo, hi)
 
+    def _at(self, n: int, z: int) -> int:
+        # E(n, z) at an integer z, by Horner's rule on the z^k coefficients
+        total = 0
+        for c in reversed(_group_sum(self.p, self.groups, n)):
+            total = total * z + c
+        return total
+
     def _stepped(self, lo: int, hi: int) -> Iterator[ZzPolynomial]:
-        d = min(self.p, hi - lo)
-        if hi <= lo + d:
+        p = self.p
+        if hi <= lo + p:
             yield from map(self.evaluate, range(lo, hi + 1))
             return
         # Each coefficient is a sum of nonnegative terms that never
-        # decrease with n, so none exceeds ZZ(S_hi, 1) = sum_k z_k 2^k at
-        # hi, and slots of that many bits hold every value yielded.
-        width = sum(z << k for k, z in enumerate(_group_sum(self.p, self.groups, hi))).bit_length()
-        shifts = range(0, width * (self.p + 1), width)
-        mask = (1 << width) - 1
+        # decrease with n, so none exceeds ZZ(S_hi, 1) = E(hi, 2), and
+        # slots of that many bits hold every value yielded.
+        width = self._at(hi, 2).bit_length()
+        if width <= 64:
+            width, size = 64, 8 * (p + 1)
+            unpack = struct.Struct(f"<{p + 1}Q").unpack
+
+            def decode(packed: int) -> tuple[int, ...]:
+                return unpack(packed.to_bytes(size, "little"))
+        else:
+            shifts = range(0, width * (p + 1), width)
+            mask = (1 << width) - 1
+
+            def decode(packed: int) -> tuple[int, ...]:
+                return tuple([packed >> s & mask for s in shifts])
+        # z = 1 + x at x = 2^width, so E(n, z) is ZZ(S_n, x) packed.
         # diffs[j]: j-th backward difference of the packed coefficient
         # vector at the last n yielded, x^i in bits width*i onwards. Its
         # slots may be negative, but only diffs[0] is decoded and the
         # additions are exact on the whole int.
+        z = 1 + (1 << width)
         diffs: list[int] = []
-        for n in range(lo, lo + d + 1):
-            zz = self.evaluate(n)
-            yield zz
-            row = sum(c << s for c, s in zip(zz.coeffs, shifts))
+        for n in range(lo, lo + p + 1):
+            row = self._at(n, z)
+            yield ZzPolynomial.from_coeffs(decode(row))
             for j, prev in enumerate(diffs):
                 diffs[j], row = row, row - prev
             diffs.append(row)
         # One step of n adds diffs[j + 1], already stepped, to diffs[j],
-        # from j = d - 1 down to 0: a running sum over the reversed table.
+        # from j = p - 1 down to 0: a running sum over the reversed table.
         table = diffs[::-1]
-        for _ in range(lo + d + 1, hi + 1):
+        for _ in range(lo + p + 1, hi + 1):
             table = list(accumulate(table))
-            packed = table[-1]
             # n > p here, so the x^p coefficient, sum of mult * C(n + des, p),
             # is positive: the slots carry no trailing zero to strip
-            yield ZzPolynomial(tuple([packed >> s & mask for s in shifts]))
+            yield ZzPolynomial(decode(table[-1]))
 
     def _term_pieces(self, des: int, fix: int, mult: int, latex: bool) -> str:
         def c(top: str, bottom: str) -> str:

@@ -734,8 +734,8 @@ class TestParser:
 class TestStripArguments:
     @pytest.mark.parametrize("bad, message", [
         ("x", "error: bad --n-range 'x', expected A..B\n"),
-        ("3..1", "error: bad --n-range '3..1'\n"),
-        ("0..2", "error: bad --n-range '0..2'\n"),
+        ("3..1", "error: bad --n-range '3..1': n starts at 1 and A <= B\n"),
+        ("0..2", "error: bad --n-range '0..2': n starts at 1 and A <= B\n"),
     ])
     def test_bad_n_range_exits_2(self, capsys, bad, message):
         code, out, err = run_cli(capsys, "zz", "--shapes", "WN", "--n-range", bad)

@@ -486,3 +486,31 @@ class TestEvaluateRange:
         monkeypatch.setattr(ClosedForm, "evaluate", counting)
         assert list(cf.evaluate_range(7, 7)) == [evaluate(cf, 7)]
         assert calls == [7]
+
+    @pytest.mark.parametrize(
+        "hi, bits", [(2**62, 64), (2**63, 65), (2**64 - 1, 65)], ids=["2^62", "2^63", "2^64-1"]
+    )
+    def test_slot_width_boundary(self, hi, bits):
+        # ZZ(S_hi, 1) of WN, (n + 1) + nx at n = hi, fills exactly 64 bits
+        # at hi = 2^62, the widest that 64-bit slots take, and 65 bits at
+        # hi = 2^63, which takes shift and mask; at hi = 2^64 - 1 its
+        # constant term needs 65 bits itself
+        cf = closed_form(StripSpec(tuple("WN"), 2))
+        lo = hi - cf.p - 3
+        assert cf.evaluate(hi).evaluate(1).bit_length() == bits
+        assert list(cf.evaluate_range(lo, hi)) == [cf.evaluate(n) for n in range(lo, hi + 1)]
+
+    def test_stepped_seeds_skip_evaluate(self, monkeypatch):
+        # the seed rows are read off E(n, 1 + 2^W), not evaluated
+        cf = closed_form(StripSpec(tuple("WWWNNN"), 2))
+        expected = [cf.evaluate(n) for n in range(2, 122)]
+        calls = []
+        evaluate = ClosedForm.evaluate
+
+        def counting(self, n):
+            calls.append(n)
+            return evaluate(self, n)
+
+        monkeypatch.setattr(ClosedForm, "evaluate", counting)
+        assert list(cf.evaluate_range(2, 121)) == expected
+        assert calls == []
