@@ -29,7 +29,7 @@ from .dib_poset import Dib, build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
 from .extension_engine import extension_records
 from .kekule_bijection import BLOCK_BITS, CellTable, kekule_walk, subset_blocks
-from .order_polynomials import ZzPolynomial, closed_form, zz_polynomial
+from .order_polynomials import ROW_BLOCK, ZzPolynomial, closed_form, zz_polynomial
 from .oracle import count_clar_covers, count_sextet_matchings
 from .strip_geometry import (
     StripSpec,
@@ -40,8 +40,6 @@ from .strip_geometry import (
     validate,
 )
 
-# lines per write to stdout in the line-streaming modes
-_LINE_BLOCK = 256
 # clar keeps the aromatic strings of at most this many subsets A, and
 # about this many strings in all
 _ENTRIES = 4096
@@ -219,8 +217,8 @@ def _run_poset(args: SimpleNamespace) -> int:
 
 def _write_lines(lines) -> None:
     """Writes an iterator of newline-terminated lines, one write per
-    block of _LINE_BLOCK and no more than a block held at once."""
-    while block := list(itertools.islice(lines, _LINE_BLOCK)):
+    block of ROW_BLOCK lines and no more than a block held at once."""
+    while block := list(itertools.islice(lines, ROW_BLOCK)):
         sys.stdout.write("".join(block))
 
 
@@ -265,9 +263,6 @@ def _run_zz(args: SimpleNamespace) -> int:
         cf = closed_form(StripSpec(spec.shapes, lo))
     except NonKekuleanError as exc:
         cf, warning = None, f"warning: {exc}"
-        polys = itertools.repeat(ZzPolynomial.zero())
-    else:
-        polys = cf.evaluate_range(lo, hi)
     # A json line is json.dumps of {"shapes", "n", "zz", "closed_form"}
     # (no "closed_form" for a non-Kekulean strip). Only n and the
     # coefficients change with n, so the rest is encoded once; the shape
@@ -275,30 +270,31 @@ def _run_zz(args: SimpleNamespace) -> int:
     if args.fmt == "json":
         head = '{"shapes": [' + ", ".join(f'"{c}"' for c in spec.shapes) + '], "n": '
         tail = "]}}\n" if cf is None else ']}, "closed_form": ' + cf.to_json() + "}\n"
-    if args.fmt == "json" and cf is not None and hi > lo:
-        # A range fills one %-template per coefficient count, each built
-        # once; no encoded part holds a "%". A single n joins its line
-        # directly, as it would use its template once.
-        templates: dict[int, str] = {}
-        head += '%d, "zz": {"coeffs": ['
 
-        def line(n: int, zz: ZzPolynomial) -> str:
-            values = (n, *zz.coeffs)
-            template = templates.get(len(values))
-            if template is None:
-                template = head + ", ".join(["%d"] * len(zz.coeffs)) + tail
-                templates[len(values)] = template
-            return template % values
-    else:
-        def line(n: int, zz: ZzPolynomial) -> str:
-            if cf is None:
-                print(warning, file=sys.stderr)
-            if args.fmt == "json":
-                coeffs = ", ".join(map(str, zz.coeffs))
-                return f'{head}{n}, "zz": {{"coeffs": [{coeffs}{tail}'
-            return (zz.to_latex() if args.fmt == "latex" else str(zz)) + "\n"
+    def line(n: int, zz: ZzPolynomial) -> str:
+        if cf is None:
+            print(warning, file=sys.stderr)
+        if args.fmt == "json":
+            coeffs = ", ".join(map(str, zz.coeffs))
+            return f'{head}{n}, "zz": {{"coeffs": [{coeffs}{tail}'
+        return (zz.to_latex() if args.fmt == "latex" else str(zz)) + "\n"
 
-    _write_lines(map(line, range(lo, hi + 1), polys))
+    if args.fmt != "json" or cf is None or hi == lo:
+        polys = itertools.repeat(ZzPolynomial.zero()) if cf is None else cf.evaluate_range(lo, hi)
+        _write_lines(map(line, range(lo, hi + 1), polys))
+        return 0
+    # A json range fills one %-template per block of rows (n, c_0, ..,
+    # c_p); no encoded part holds a "%". A row whose x^p coefficient is
+    # still 0 leads the range and takes a line of its own.
+    slots = cf.p + 2
+    template = head + '%d, "zz": {"coeffs": [' + ", ".join(["%d"] * (slots - 1)) + tail
+    for block in cf.row_blocks(lo, hi):
+        short = ""
+        while block and not block[slots - 1]:
+            short += line(block[0], ZzPolynomial.from_coeffs(block[1:slots]))
+            block = block[slots:]
+        count = len(block) // slots
+        sys.stdout.write(short + template * count % block)
     return 0
 
 

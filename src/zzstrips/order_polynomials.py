@@ -32,6 +32,9 @@ from .extension_engine import des_fix_counts
 from .strip_geometry import StripSpec
 
 DEFAULT_SUBSET_GUARD = 20
+# rows per block of ClosedForm.row_blocks; the CLI writes its streamed
+# lines in blocks of as many
+ROW_BLOCK = 256
 
 
 class ZzPolynomial(NamedTuple):
@@ -181,7 +184,7 @@ class ClosedForm(
 
     def __new__(cls, p: int, groups: tuple[tuple[int, int, int], ...]) -> "ClosedForm":
         # the forms closed_form builds: a poset has at least one linear
-        # extension, and evaluate_range relies on every term being
+        # extension, and row_blocks relies on every term being
         # nonnegative and nondecreasing in n
         if p < 0 or not groups:
             raise ValueError(f"a closed form needs p >= 0 and a group, got p={p}")
@@ -203,20 +206,19 @@ class ClosedForm(
     def evaluate_range(self, lo: int, hi: int) -> Iterator[ZzPolynomial]:
         """evaluate(n) for n = lo..hi in turn; nothing when hi < lo.
 
-        Each x^i coefficient is a polynomial in n of degree <= p, so its
-        (p+1)-th difference vanishes. A range of at most p + 1 values
-        comes from evaluate. A longer one reads each row off one int,
-        E(n, 1 + 2^W) = ZZ(S_n, 2^W), whose W-bit slots hold the
-        coefficients of ZZ(S_n, x) (Kronecker substitution): the first
-        p + 1 such ints are computed directly and seed a difference
-        table of them, and every later n costs p additions. Slots are
-        64 bits wide when ZZ(S_hi, 1) < 2^64, and a row then decodes in
-        one to_bytes and one struct unpack; wider slots decode by shift
-        and mask.
+        A single n comes from evaluate. A longer range is sliced off
+        row_blocks, one row (n, c_0, .., c_p) at a time.
         """
         if lo < 0:
             raise ValueError("n must be nonnegative")
-        return self._stepped(lo, hi)
+        if hi <= lo:
+            return map(self.evaluate, range(lo, hi + 1))
+        slots = self.p + 2
+        return (
+            ZzPolynomial.from_coeffs(block[i + 1 : i + slots])
+            for block in self.row_blocks(lo, hi)
+            for i in range(0, len(block), slots)
+        )
 
     def _at(self, n: int, z: int) -> int:
         # E(n, z) at an integer z, by Horner's rule on the z^k coefficients
@@ -225,48 +227,61 @@ class ClosedForm(
             total = total * z + c
         return total
 
-    def _stepped(self, lo: int, hi: int) -> Iterator[ZzPolynomial]:
-        p = self.p
-        if hi <= lo + p:
-            yield from map(self.evaluate, range(lo, hi + 1))
+    def row_blocks(self, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        """The rows (n, c_0, .., c_p) of ZZ(S_n, x) = sum of c_i x^i for
+        n = lo..hi, flattened into one tuple per block of at most
+        ROW_BLOCK rows. Rows at small n, whose c_p is still 0, lead the
+        range.
+
+        Each row is one int, n | ZZ(S_n, 2^W) << W, whose W-bit slots
+        hold n and then c_0, .., c_p: at x = 2^W each (1+x)^k of the
+        form is (1 + 2^W)^k (Kronecker substitution). Every slot is a
+        polynomial in n of degree at most max(p, 1), so the rows at the
+        first max(p, 1) + 1 values of n seed a difference table, and a
+        block is max(p, 1) running sums over it. Slots are 64 bits wide
+        when n and ZZ(S_hi, 1) fit them, and a block then decodes in one
+        join of to_bytes and one struct unpack; wider slots decode by
+        shift and mask.
+        """
+        if hi < lo:
             return
         # Each coefficient is a sum of nonnegative terms that never
-        # decrease with n, so none exceeds ZZ(S_hi, 1) = E(hi, 2), and
-        # slots of that many bits hold every value yielded.
-        width = self._at(hi, 2).bit_length()
+        # decrease with n, so none exceeds ZZ(S_hi, 1) = E(hi, 2).
+        width = max(self._at(hi, 2).bit_length(), hi.bit_length())
+        slots = self.p + 2
         if width <= 64:
-            width, size = 64, 8 * (p + 1)
-            unpack = struct.Struct(f"<{p + 1}Q").unpack
+            width, row_bytes = 64, 8 * slots
 
-            def decode(packed: int) -> tuple[int, ...]:
-                return unpack(packed.to_bytes(size, "little"))
+            def decode(rows: list[int]) -> tuple[int, ...]:
+                data = b"".join([row.to_bytes(row_bytes, "little") for row in rows])
+                return struct.unpack(f"<{slots * len(rows)}Q", data)
         else:
-            shifts = range(0, width * (p + 1), width)
+            shifts = range(0, width * slots, width)
             mask = (1 << width) - 1
 
-            def decode(packed: int) -> tuple[int, ...]:
-                return tuple([packed >> s & mask for s in shifts])
+            def decode(rows: list[int]) -> tuple[int, ...]:
+                return tuple([row >> s & mask for row in rows for s in shifts])
         # z = 1 + x at x = 2^width, so E(n, z) is ZZ(S_n, x) packed.
-        # diffs[j]: j-th backward difference of the packed coefficient
-        # vector at the last n yielded, x^i in bits width*i onwards. Its
-        # slots may be negative, but only diffs[0] is decoded and the
-        # additions are exact on the whole int.
+        # diffs[j]: j-th forward difference of the packed rows at the
+        # first n of the next block. Its slots may be negative, but the
+        # additions are exact on the whole int and only rows are decoded.
         z = 1 + (1 << width)
+        seeds = range(lo, min(hi, lo + max(self.p, 1)) + 1)
+        rows = [n | self._at(n, z) << width for n in seeds]
         diffs: list[int] = []
-        for n in range(lo, lo + p + 1):
-            row = self._at(n, z)
-            yield ZzPolynomial.from_coeffs(decode(row))
-            for j, prev in enumerate(diffs):
-                diffs[j], row = row, row - prev
-            diffs.append(row)
-        # One step of n adds diffs[j + 1], already stepped, to diffs[j],
-        # from j = p - 1 down to 0: a running sum over the reversed table.
-        table = diffs[::-1]
-        for _ in range(lo + p + 1, hi + 1):
-            table = list(accumulate(table))
-            # n > p here, so the x^p coefficient, sum of mult * C(n + des, p),
-            # is positive: the slots carry no trailing zero to strip
-            yield ZzPolynomial(decode(table[-1]))
+        while rows:
+            diffs.append(rows[0])
+            rows = [b - a for a, b in zip(rows, rows[1:])]
+        # The highest difference is constant (a range of fewer values than
+        # the degree needs takes it so and still meets every seed row).
+        # Each lower one is a running sum of the one above, from its value
+        # at the block's first n; its value past the block starts the next.
+        for first in range(lo, hi + 1, ROW_BLOCK):
+            rows = [diffs[-1]] * min(ROW_BLOCK, hi + 1 - first)
+            for j in range(len(diffs) - 2, -1, -1):
+                rows = list(accumulate(rows, initial=diffs[j]))
+                diffs[j] = rows.pop()
+            yield decode(rows)
 
     def _term_pieces(self, des: int, fix: int, mult: int, latex: bool) -> str:
         def c(top: str, bottom: str) -> str:

@@ -175,6 +175,17 @@ class TestZzMode:
             singles.append(single[1])
         assert out == "".join(singles)
 
+    @pytest.mark.parametrize("shapes, hi", [("WWWWRNNNN", 300), ("WWWNNN", 600)])
+    def test_n_range_block_lines_equal_json_dumps(self, capsys, shapes, hi):
+        # WWWWRNNNN: rows without the x^20 term, slots wider than 64 bits
+        # and one block boundary; WWWNNN: 64-bit slots, two boundaries
+        code, out, err = run_cli(capsys, "zz", "--shapes", shapes, "--n-range", f"1..{hi}",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert [json.dumps(json.loads(line)) for line in lines] == lines
+        assert [json.loads(line)["n"] for line in lines] == list(range(1, hi + 1))
+
     def test_n_range_json_non_kekulean(self, capsys):
         code, out, err = run_cli(capsys, "zz", "--shapes", "WNNWWN", "--n-range", "4..6",
                                  "--format", "json")

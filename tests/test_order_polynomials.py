@@ -22,7 +22,7 @@ from zzstrips import (
     zz_polynomial,
 )
 from zzstrips.extension_engine import des_fix_counts
-from zzstrips.order_polynomials import ClosedForm, strict_order_poly
+from zzstrips.order_polynomials import ROW_BLOCK, ClosedForm, strict_order_poly
 from zzstrips.strip_geometry import catalog_shapes
 
 from conftest import (
@@ -357,7 +357,7 @@ class TestClosedForm:
         ],
     )
     def test_rejects_groups_outside_domain(self, p, groups):
-        # evaluate_range relies on nonnegative terms that never decrease in n
+        # row_blocks relies on nonnegative terms that never decrease in n
         with pytest.raises(ValueError):
             ClosedForm(p, groups)
         with pytest.raises(ValueError):
@@ -514,3 +514,58 @@ class TestEvaluateRange:
         monkeypatch.setattr(ClosedForm, "evaluate", counting)
         assert list(cf.evaluate_range(2, 121)) == expected
         assert calls == []
+
+
+def _block_rows(cf, lo, hi):
+    """The rows of cf.row_blocks(lo, hi), each checked to sit in a block
+    of at most ROW_BLOCK rows that no row spans."""
+    slots = cf.p + 2
+    rows = []
+    for block in cf.row_blocks(lo, hi):
+        assert len(block) % slots == 0
+        assert 0 < len(block) // slots <= ROW_BLOCK
+        rows += [block[i : i + slots] for i in range(0, len(block), slots)]
+    return rows
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "shapes, lo, hi",
+        [
+            ("WWWRNNN", 1, 600),  # across two block boundaries
+            # 133-bit slots; the second block, of 5 rows, is shorter than
+            # the 21 seed rows of the difference table it carries on
+            ("WWWWRNNNN", 250, 510),
+            ("WWWNNN", 1, 12),  # n = 1-4 lack the x^9 term
+            ("WWWWRNNNN", 1, 30),  # n = 1-7 lack the x^20 term
+            ("WN", 5, 5),
+        ],
+    )
+    def test_rows_equal_evaluate(self, shapes, lo, hi):
+        # n in slot 0 and every c_i, c_p = 0 included, as the CLI reads them
+        cf = closed_form(StripSpec(tuple(shapes), 2))
+        rows = _block_rows(cf, lo, hi)
+        assert [row[0] for row in rows] == list(range(lo, hi + 1))
+        for n, *coeffs in rows:
+            expected = cf.evaluate(n).coeffs
+            assert tuple(coeffs) == expected + (0,) * (cf.p + 1 - len(expected))
+
+    @pytest.mark.parametrize("shapes, short", [("WWWNNN", 4), ("WWWWRNNNN", 7)])
+    def test_short_rows_lead_the_range(self, shapes, short):
+        cf = closed_form(StripSpec(tuple(shapes), 2))
+        rows = _block_rows(cf, 1, 30)
+        assert [row[0] for row in rows if not row[-1]] == list(range(1, short + 1))
+
+    def test_block_sizes(self):
+        cf = closed_form(StripSpec(tuple("WWRNN"), 2))
+        slots = cf.p + 2
+        assert [len(b) // slots for b in cf.row_blocks(1, 600)] == [256, 256, 88]
+        assert list(cf.row_blocks(5, 4)) == []
+
+    def test_empty_poset_slot_zero_holds_n(self):
+        # E(hi, 2) = 1 gives one bit; slot 0 must still be as wide as n,
+        # here past 2^64, and n steps although no coefficient moves
+        cf = ClosedForm(0, ((0, 0, 1),))
+        lo, hi = 2**64 - 3, 2**64 + 3
+        assert _block_rows(cf, lo, hi) == [(n, 1) for n in range(lo, hi + 1)]
+        assert list(cf.evaluate_range(lo, hi)) == [ZzPolynomial((1,))] * 7
