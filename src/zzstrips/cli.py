@@ -271,30 +271,30 @@ def _run_zz(args: SimpleNamespace) -> int:
         head = '{"shapes": [' + ", ".join(f'"{c}"' for c in spec.shapes) + '], "n": '
         tail = "]}}\n" if cf is None else ']}, "closed_form": ' + cf.to_json() + "}\n"
 
-    def line(n: int, zz: ZzPolynomial) -> str:
-        if cf is None:
-            print(warning, file=sys.stderr)
+    def line(row: tuple[int, ...]) -> str:  # row: (n, c_0, .., c_p)
+        zz = ZzPolynomial.from_coeffs(row[1:])
         if args.fmt == "json":
-            coeffs = ", ".join(map(str, zz.coeffs))
-            return f'{head}{n}, "zz": {{"coeffs": [{coeffs}{tail}'
+            return f'{head}{row[0]}, "zz": {{"coeffs": [{", ".join(map(str, zz.coeffs))}{tail}'
         return (zz.to_latex() if args.fmt == "latex" else str(zz)) + "\n"
 
-    if args.fmt != "json" or cf is None or hi == lo:
-        polys = itertools.repeat(ZzPolynomial.zero()) if cf is None else cf.evaluate_range(lo, hi)
-        _write_lines(map(line, range(lo, hi + 1), polys))
+    if cf is None:  # ZZ = 0 at every n, and a warning at each
+        for n in range(lo, hi + 1):
+            print(warning, file=sys.stderr)
+            sys.stdout.write(line((n,)))
         return 0
-    # A json range fills one %-template per block of rows (n, c_0, ..,
-    # c_p); no encoded part holds a "%". A row whose x^p coefficient is
-    # still 0 leads the range and takes a line of its own.
-    slots = cf.p + 2
-    template = head + '%d, "zz": {"coeffs": [' + ", ".join(["%d"] * (slots - 1)) + tail
+    # A json block fills one %-template per row; no encoded part holds
+    # a "%". Rows that the template does not fill take a line of their
+    # own: every text and latex row, and a json row whose x^p
+    # coefficient is still 0, which leads the range.
+    slots, template = cf.p + 2, ""
+    if args.fmt == "json":
+        template = head + '%d, "zz": {"coeffs": [' + ", ".join(["%d"] * (slots - 1)) + tail
     for block in cf.row_blocks(lo, hi):
-        short = ""
-        while block and not block[slots - 1]:
-            short += line(block[0], ZzPolynomial.from_coeffs(block[1:slots]))
-            block = block[slots:]
-        count = len(block) // slots
-        sys.stdout.write(short + template * count % block)
+        short = 0
+        while short < len(block) and not (template and block[short + slots - 1]):
+            short += slots
+        lines = "".join([line(block[i : i + slots]) for i in range(0, short, slots)])
+        sys.stdout.write(lines + template * ((len(block) - short) // slots) % block[short:])
     return 0
 
 

@@ -13,9 +13,12 @@ agree.
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 from .dib_poset import Dib
 from .kekule_bijection import KekuleAssignment
-from .order_polynomials import ZzPolynomial, _substitute_one_plus_x
+from .order_polynomials import ZzPolynomial
 from .strip_geometry import BenzenoidGraph, Edge
 
 Matching = frozenset  # of Edge
@@ -131,6 +134,17 @@ def count_clar_covers(graph: BenzenoidGraph) -> ZzPolynomial:
                     _merge(layer, (mask | ring) >> 1, [0] + counts)
         states = layer
     return ZzPolynomial.from_coeffs(states.get(0, ()))
+
+
+def _substitute_one_plus_x(zcoeffs: Sequence[int]) -> ZzPolynomial:
+    # z^k expands to sum_i C(k, i) x^i
+    out = [0] * len(zcoeffs)
+    for k, c in enumerate(zcoeffs):
+        if c == 0:
+            continue
+        for i in range(k + 1):
+            out[i] += c * math.comb(k, i)
+    return ZzPolynomial.from_coeffs(out)
 
 
 def count_sextet_matchings(graph: BenzenoidGraph) -> ZzPolynomial:

@@ -3,8 +3,9 @@ Zhang-Zhang polynomial of a strip.
 
 The production route is the closed formula over linear extensions:
 ``closed_form`` groups them by their (descent count, fixed count) pair
-through ``des_fix_counts``, and ``zz_polynomial`` evaluates that form at
-the strip's n. ``extended_poly_subposet_sum`` is the oracle: the
+through ``des_fix_counts``, and ``ClosedForm.row_blocks`` reads ZZ
+values off that form, for one n (``evaluate``, ``zz_polynomial``) or a
+range of n alike. ``extended_poly_subposet_sum`` is the oracle: the
 definitional sum of strict order polynomials over all induced
 subposets, which must agree exactly with the closed formula. The
 brute-force strict maps, the proper-sextet coefficients by subposet
@@ -19,7 +20,7 @@ import json
 import math
 import struct
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .dib_poset import (
     DibPoset,
@@ -144,17 +145,6 @@ def _group_sum(p: int, groups: Iterable[tuple[int, int, int]], n: int) -> tuple[
     return tuple(coeffs)
 
 
-def _substitute_one_plus_x(zcoeffs: Sequence[int]) -> ZzPolynomial:
-    # z^k expands to sum_i C(k, i) x^i
-    out = [0] * len(zcoeffs)
-    for k, c in enumerate(zcoeffs):
-        if c == 0:
-            continue
-        for i in range(k + 1):
-            out[i] += c * math.comb(k, i)
-    return ZzPolynomial.from_coeffs(out)
-
-
 def zz_polynomial(spec: StripSpec) -> ZzPolynomial:
     """Zhang-Zhang polynomial of the strip, via the DIB poset.
 
@@ -201,53 +191,34 @@ class ClosedForm(
         return sum(mult for _, _, mult in self.groups)
 
     def evaluate(self, n: int) -> ZzPolynomial:
-        return _substitute_one_plus_x(_group_sum(self.p, self.groups, n))
-
-    def evaluate_range(self, lo: int, hi: int) -> Iterator[ZzPolynomial]:
-        """evaluate(n) for n = lo..hi in turn; nothing when hi < lo.
-
-        A single n comes from evaluate. A longer range is sliced off
-        row_blocks, one row (n, c_0, .., c_p) at a time.
-        """
-        if lo < 0:
-            raise ValueError("n must be nonnegative")
-        if hi <= lo:
-            return map(self.evaluate, range(lo, hi + 1))
-        slots = self.p + 2
-        return (
-            ZzPolynomial.from_coeffs(block[i + 1 : i + slots])
-            for block in self.row_blocks(lo, hi)
-            for i in range(0, len(block), slots)
-        )
-
-    def _at(self, n: int, z: int) -> int:
-        # E(n, z) at an integer z, by Horner's rule on the z^k coefficients
-        total = 0
-        for c in reversed(_group_sum(self.p, self.groups, n)):
-            total = total * z + c
-        return total
+        """ZZ(S_n, x), the one row of row_blocks(n, n)."""
+        return ZzPolynomial.from_coeffs(next(self.row_blocks(n, n))[1:])
 
     def row_blocks(self, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
         """The rows (n, c_0, .., c_p) of ZZ(S_n, x) = sum of c_i x^i for
         n = lo..hi, flattened into one tuple per block of at most
         ROW_BLOCK rows. Rows at small n, whose c_p is still 0, lead the
-        range.
+        range. evaluate(n) is the one row of row_blocks(n, n).
 
         Each row is one int, n | ZZ(S_n, 2^W) << W, whose W-bit slots
         hold n and then c_0, .., c_p: at x = 2^W each (1+x)^k of the
         form is (1 + 2^W)^k (Kronecker substitution). Every slot is a
         polynomial in n of degree at most max(p, 1), so the rows at the
-        first max(p, 1) + 1 values of n seed a difference table, and a
-        block is max(p, 1) running sums over it. Slots are 64 bits wide
-        when n and ZZ(S_hi, 1) fit them, and a block then decodes in one
-        join of to_bytes and one struct unpack; wider slots decode by
-        shift and mask.
+        first max(p, 1) + 1 values of n, each E(n, 1 + 2^W) by Horner's
+        rule, seed a difference table, and a block is max(p, 1) running
+        sums over it. Slots are 64 bits wide when n and ZZ(S_hi, 1) fit
+        them, and a block then decodes in one join of to_bytes and one
+        struct unpack; wider slots decode by shift and mask.
         """
         if hi < lo:
             return
+        # the z^k coefficients of E(n, z) at each seed n
+        seeds = range(lo, min(hi, lo + max(self.p, 1)) + 1)
+        zcoeffs = [_group_sum(self.p, self.groups, n) for n in seeds]
         # Each coefficient is a sum of nonnegative terms that never
         # decrease with n, so none exceeds ZZ(S_hi, 1) = E(hi, 2).
-        width = max(self._at(hi, 2).bit_length(), hi.bit_length())
+        top = zcoeffs[-1] if seeds[-1] == hi else _group_sum(self.p, self.groups, hi)
+        width = max(ZzPolynomial(top).evaluate(2).bit_length(), hi.bit_length())
         slots = self.p + 2
         if width <= 64:
             width, row_bytes = 64, 8 * slots
@@ -266,8 +237,7 @@ class ClosedForm(
         # first n of the next block. Its slots may be negative, but the
         # additions are exact on the whole int and only rows are decoded.
         z = 1 + (1 << width)
-        seeds = range(lo, min(hi, lo + max(self.p, 1)) + 1)
-        rows = [n | self._at(n, z) << width for n in seeds]
+        rows = [n | ZzPolynomial(c).evaluate(z) << width for n, c in zip(seeds, zcoeffs)]
         diffs: list[int] = []
         while rows:
             diffs.append(rows[0])

@@ -53,8 +53,8 @@ class StripSpec(NamedTuple("StripSpec", [("shapes", tuple[str, ...]), ("n", int)
 
     @property
     def m(self) -> int:
-        """Number of tiers (one less than the number of fragments)."""
-        return len(self.shapes) - 1
+        """Number of tiers: one less than the number of fragments, if any."""
+        return max(len(self.shapes) - 1, 0)
 
     def to_json(self) -> str:
         return json.dumps({"shapes": list(self.shapes), "n": self.n})

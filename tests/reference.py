@@ -6,7 +6,8 @@ outside 0 <= k <= n, strict order-preserving maps by exhaustive search,
 the proper-sextet coefficients a(k) by the subposet sum, the descents
 and the fixed labels of one extension word by their definition, the
 extension words read off the streamed records, E(n, z) summed term by
-term over the (des, fix) groups, and on the explicit graph the Clar
+term over the (des, fix) groups, ZZ values of a closed form by the
+binomial expansion of z = 1 + x, and on the explicit graph the Clar
 covers and the perfect matchings listed one by one and read into ZZ
 histograms, and the mirrored sextet pattern that acceptance criterion
 9 holds the orientation checks to. The graph listings grow with the
@@ -33,8 +34,14 @@ from zzstrips import (
     extension_records,
 )
 from zzstrips.extension_engine import Word, des_fix_counts
-from zzstrips.oracle import Matching, _count_patterns, _matchings_avoiding, _sextet_patterns
-from zzstrips.order_polynomials import DEFAULT_SUBSET_GUARD, _substitute_one_plus_x
+from zzstrips.oracle import (
+    Matching,
+    _count_patterns,
+    _matchings_avoiding,
+    _sextet_patterns,
+    _substitute_one_plus_x,
+)
+from zzstrips.order_polynomials import DEFAULT_SUBSET_GUARD, ClosedForm, _group_sum
 from zzstrips.strip_geometry import Edge
 
 DEFAULT_MAP_GUARD = 4_000_000
@@ -144,6 +151,12 @@ def extended_poly_extension_formula(
         )
         for k in range(p + 1)
     )
+
+
+def evaluate_form(form: ClosedForm, n: int) -> ZzPolynomial:
+    """ZZ(S_n, x) of a closed form, without its packed rows: the z^k
+    coefficients of E(n, z), then z = 1 + x expanded by binomials."""
+    return _substitute_one_plus_x(_group_sum(form.p, form.groups, n))
 
 
 class ExplicitClarCover(NamedTuple):

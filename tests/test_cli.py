@@ -28,7 +28,7 @@ from zzstrips import (
 from zzstrips.cli import OPTIONS, catalog_shapes, main, parse_args
 from zzstrips.strip_geometry import mirror_orbit
 
-from reference import enumerate_clar_covers, zz_from_covers
+from reference import enumerate_clar_covers, evaluate_form, zz_from_covers
 
 
 def run_cli(capsys, *argv):
@@ -131,7 +131,7 @@ class TestZzMode:
             json.dumps({
                 "shapes": list(shapes),
                 "n": n,
-                "zz": {"coeffs": list(cf.evaluate(n).coeffs)},
+                "zz": {"coeffs": list(evaluate_form(cf, n).coeffs)},
                 "closed_form": cf.to_dict(),
             })
             for n in range(1, 31)
@@ -156,7 +156,7 @@ class TestZzMode:
             except NonKekuleanError:
                 data["zz"] = {"coeffs": []}
             else:
-                data["zz"] = {"coeffs": list(cf.evaluate(n).coeffs)}
+                data["zz"] = {"coeffs": list(evaluate_form(cf, n).coeffs)}
                 data["closed_form"] = cf.to_dict()
             expected.append(json.dumps(data) + "\n")
         assert out == "".join(expected)
@@ -206,6 +206,11 @@ class TestProfileMode:
         assert code == 0
         assert "i_2: size 5, order 2" in out
         assert "valid: yes" in out
+
+    def test_empty_shapes_have_no_tiers(self, capsys):
+        code, out, _ = run_cli(capsys, "profile", "--shapes", "", "--length", "2")
+        assert code == 0
+        assert out.splitlines()[0] == "shapes   n=2  m=0"
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "profile", "WNNWWN 4", "--format", "json")
@@ -787,7 +792,7 @@ class TestTextFormats:
         code, out, _ = run_cli(capsys, "closed-form", "WWRNN 3")
         assert code == 0
         cf = closed_form(StripSpec(tuple("WWRNN"), 3))
-        assert out.splitlines() == [cf.as_text(), f"n=3: {cf.evaluate(3)}"]
+        assert out.splitlines() == [cf.as_text(), f"n=3: {evaluate_form(cf, 3)}"]
 
     def test_closed_form_latex(self, capsys):
         code, out, _ = run_cli(capsys, "closed-form", "WWRNN 3", "--format", "latex")

@@ -21,6 +21,7 @@ from zzstrips import (
     parse_strip,
     zz_polynomial,
 )
+from zzstrips import order_polynomials
 from zzstrips.extension_engine import des_fix_counts
 from zzstrips.order_polynomials import ROW_BLOCK, ClosedForm, strict_order_poly
 from zzstrips.strip_geometry import catalog_shapes
@@ -36,6 +37,7 @@ from reference import (
     a_coefficients,
     binom,
     brute_force_strict_maps,
+    evaluate_form,
     extended_poly_extension_formula,
 )
 
@@ -425,30 +427,61 @@ class TestReciprocity:
         assert (-1) ** p * at_minus_n == _weak_maps(sub, n)
 
 
-class TestEvaluateRange:
+def _block_rows(cf, lo, hi):
+    """The rows of cf.row_blocks(lo, hi), each checked to sit in a block
+    of at most ROW_BLOCK rows that no row spans."""
+    slots = cf.p + 2
+    rows = []
+    for block in cf.row_blocks(lo, hi):
+        assert len(block) % slots == 0
+        assert 0 < len(block) // slots <= ROW_BLOCK
+        rows += [block[i : i + slots] for i in range(0, len(block), slots)]
+    return rows
+
+
+def _reference_rows(cf, lo, hi):
+    """The rows (n, c_0, .., c_p) for n = lo..hi by the reference
+    evaluation, c_p = 0 included."""
+    rows = []
+    for n in range(lo, hi + 1):
+        coeffs = evaluate_form(cf, n).coeffs
+        rows.append((n, *coeffs) + (0,) * (cf.p + 1 - len(coeffs)))
+    return rows
+
+
+def _check_values(cf, lo, hi):
+    # the packed rows, and evaluate, which is one row of them, each
+    # against the reference's binomial expansion
+    expected = _reference_rows(cf, lo, hi)
+    assert _block_rows(cf, lo, hi) == expected
+    assert [cf.evaluate(n) for n in range(lo, hi + 1)] == [
+        ZzPolynomial.from_coeffs(row[1:]) for row in expected
+    ]
+
+
+class TestFormValues:
     @pytest.mark.parametrize("shapes", catalog_shapes(6))
-    def test_equals_evaluate_on_catalog(self, shapes):
+    def test_equals_reference_on_catalog(self, shapes):
         cf = closed_form(StripSpec(shapes, 2))
         p = cf.p
         for lo, hi in ((1, 1), (1, p), (2, 121), (10**6, 10**6 + p + 2)):
-            assert list(cf.evaluate_range(lo, hi)) == [
-                cf.evaluate(n) for n in range(lo, hi + 1)
-            ]
+            _check_values(cf, lo, hi)
 
     def test_empty_poset(self):
         cf = ClosedForm(0, ((0, 0, 1),))
-        assert list(cf.evaluate_range(0, 4)) == [ZzPolynomial((1,))] * 5
+        assert _block_rows(cf, 0, 4) == [(n, 1) for n in range(5)]
+        assert [cf.evaluate(n) for n in range(5)] == [ZzPolynomial((1,))] * 5
 
     def test_empty_range(self):
         cf = closed_form(StripSpec(tuple("WWRNN"), 3))
-        assert list(cf.evaluate_range(5, 4)) == []
+        assert list(cf.row_blocks(5, 4)) == []
 
-    def test_negative_lo_rejected(self):
+    def test_negative_n_rejected(self):
         cf = closed_form(StripSpec(tuple("WWRNN"), 3))
         with pytest.raises(ValueError):
             cf.evaluate(-1)
         with pytest.raises(ValueError):
-            cf.evaluate_range(-1, 3)
+            list(cf.row_blocks(-1, 3))
 
     @pytest.mark.parametrize(
         "strip",
@@ -463,29 +496,13 @@ class TestEvaluateRange:
             "WWWWRNNNN 3",
         ],
     )
-    def test_packed_table_equals_evaluate(self, strip):
+    def test_packed_table_equals_reference(self, strip):
         # slots from a few bits wide at small n to hundreds of bits at
         # n = 10**12 and p = 20
         cf = closed_form(parse_strip(strip))
         p = cf.p
         for lo, hi in ((0, 3 * p), (1, 400), (10**12, 10**12 + 2 * p)):
-            assert list(cf.evaluate_range(lo, hi)) == [
-                cf.evaluate(n) for n in range(lo, hi + 1)
-            ]
-
-    def test_single_n_evaluates_once(self, monkeypatch):
-        # a one-n request pays for no slot width
-        cf = closed_form(StripSpec(tuple("WWWRNNN"), 3))
-        calls = []
-        evaluate = ClosedForm.evaluate
-
-        def counting(self, n):
-            calls.append(n)
-            return evaluate(self, n)
-
-        monkeypatch.setattr(ClosedForm, "evaluate", counting)
-        assert list(cf.evaluate_range(7, 7)) == [evaluate(cf, 7)]
-        assert calls == [7]
+            _check_values(cf, lo, hi)
 
     @pytest.mark.parametrize(
         "hi, bits", [(2**62, 64), (2**63, 65), (2**64 - 1, 65)], ids=["2^62", "2^63", "2^64-1"]
@@ -496,36 +513,30 @@ class TestEvaluateRange:
         # hi = 2^63, which takes shift and mask; at hi = 2^64 - 1 its
         # constant term needs 65 bits itself
         cf = closed_form(StripSpec(tuple("WN"), 2))
-        lo = hi - cf.p - 3
-        assert cf.evaluate(hi).evaluate(1).bit_length() == bits
-        assert list(cf.evaluate_range(lo, hi)) == [cf.evaluate(n) for n in range(lo, hi + 1)]
+        assert evaluate_form(cf, hi).evaluate(1).bit_length() == bits
+        _check_values(cf, hi - cf.p - 3, hi)
 
-    def test_stepped_seeds_skip_evaluate(self, monkeypatch):
-        # the seed rows are read off E(n, 1 + 2^W), not evaluated
+    def test_group_sum_calls(self, monkeypatch):
+        # one _group_sum per seed row, and one more at hi for the slot
+        # width when hi is past the seeds: 1 call for a single n, k for a
+        # range of k <= max(p, 1) + 1 values, max(p, 1) + 2 beyond that
         cf = closed_form(StripSpec(tuple("WWWNNN"), 2))
-        expected = [cf.evaluate(n) for n in range(2, 122)]
+        assert cf.p == 9
+        group_sum = order_polynomials._group_sum
         calls = []
-        evaluate = ClosedForm.evaluate
 
-        def counting(self, n):
+        def counting(p, groups, n):
             calls.append(n)
-            return evaluate(self, n)
+            return group_sum(p, groups, n)
 
-        monkeypatch.setattr(ClosedForm, "evaluate", counting)
-        assert list(cf.evaluate_range(2, 121)) == expected
-        assert calls == []
-
-
-def _block_rows(cf, lo, hi):
-    """The rows of cf.row_blocks(lo, hi), each checked to sit in a block
-    of at most ROW_BLOCK rows that no row spans."""
-    slots = cf.p + 2
-    rows = []
-    for block in cf.row_blocks(lo, hi):
-        assert len(block) % slots == 0
-        assert 0 < len(block) // slots <= ROW_BLOCK
-        rows += [block[i : i + slots] for i in range(0, len(block), slots)]
-    return rows
+        monkeypatch.setattr(order_polynomials, "_group_sum", counting)
+        for lo, hi, count in ((7, 7, 1), (2, 5, 4), (2, 11, 10), (2, 121, 11)):
+            calls.clear()
+            assert _block_rows(cf, lo, hi) == _reference_rows(cf, lo, hi)
+            assert len(calls) == count, (lo, hi)
+        calls.clear()
+        assert cf.evaluate(7) == evaluate_form(cf, 7)
+        assert calls == [7]
 
 
 class TestRowBlocks:
@@ -541,14 +552,10 @@ class TestRowBlocks:
             ("WN", 5, 5),
         ],
     )
-    def test_rows_equal_evaluate(self, shapes, lo, hi):
+    def test_rows_equal_reference(self, shapes, lo, hi):
         # n in slot 0 and every c_i, c_p = 0 included, as the CLI reads them
         cf = closed_form(StripSpec(tuple(shapes), 2))
-        rows = _block_rows(cf, lo, hi)
-        assert [row[0] for row in rows] == list(range(lo, hi + 1))
-        for n, *coeffs in rows:
-            expected = cf.evaluate(n).coeffs
-            assert tuple(coeffs) == expected + (0,) * (cf.p + 1 - len(expected))
+        assert _block_rows(cf, lo, hi) == _reference_rows(cf, lo, hi)
 
     @pytest.mark.parametrize("shapes, short", [("WWWNNN", 4), ("WWWWRNNNN", 7)])
     def test_short_rows_lead_the_range(self, shapes, short):
@@ -568,4 +575,4 @@ class TestRowBlocks:
         cf = ClosedForm(0, ((0, 0, 1),))
         lo, hi = 2**64 - 3, 2**64 + 3
         assert _block_rows(cf, lo, hi) == [(n, 1) for n in range(lo, hi + 1)]
-        assert list(cf.evaluate_range(lo, hi)) == [ZzPolynomial((1,))] * 7
+        assert [cf.evaluate(n) for n in range(lo, hi + 1)] == [ZzPolynomial((1,))] * 7

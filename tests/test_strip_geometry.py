@@ -110,6 +110,12 @@ class TestProfile:
         assert all(s - o == n for s, o in zip(profile.sizes, profile.orders))
         assert profile.m == 0 or profile.orders[0] == 1
 
+    @pytest.mark.parametrize("shapes, m", [("", 0), ("W", 0), ("WN", 1), ("WWRNN", 4)])
+    def test_tier_count_matches_profile(self, shapes, m):
+        # a strip with no fragments has no tiers, not -1 of them
+        spec = StripSpec(tuple(shapes), 2)
+        assert spec.m == interface_profile(spec).m == m
+
     @given(st.integers(1, 6), st.integers(1, 9))
     @settings(max_examples=60)
     def test_parallelogram_orders_all_one(self, tiers, n):
