@@ -28,7 +28,7 @@ from types import SimpleNamespace
 from .dib_poset import Dib, build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
 from .extension_engine import extension_records
-from .kekule_bijection import BLOCK_BITS, CellTable, kekule_walk, subset_blocks
+from .kekule_bijection import kekule_walk
 from .order_polynomials import ROW_BLOCK, ZzPolynomial, closed_form, zz_polynomial
 from .oracle import count_clar_covers, count_sextet_matchings
 from .strip_geometry import (
@@ -40,9 +40,7 @@ from .strip_geometry import (
     validate,
 )
 
-# clar keeps the aromatic strings of at most this many subsets A, and
-# about this many strings in all
-_ENTRIES = 4096
+# clar drops its cache of aromatic lists once they hold this many strings
 _TAILS_HELD = 8192
 
 
@@ -319,10 +317,8 @@ def _run_closed_form(args: SimpleNamespace) -> int:
     return 0
 
 
-def _dib_cells(
-    dib: Dib, fragment: str, n: int, first: bool, last: bool, end: str
-) -> tuple[CellTable, CellTable]:
-    """DIB dib's kekule_walk cells, outside A and in A, for a line that
+def _dib_cells(dib: Dib, fragment: str, first: bool, last: bool, end: str) -> tuple:
+    """DIB dib's kekule_walk renders, outside A and in A, for a line that
     ends in end: its A piece (its fragment in A), mu and pos pieces. The
     first DIB's pieces open the lists and the last DIB's close them. A
     member's A and mu pieces, and every pos piece but the first, open
@@ -333,8 +329,8 @@ def _dib_cells(
     a_end, mu_end, pos_end = ('], "mu": [', '], "pos": [', end) if last else ("", "", "")
     pos = f"{'' if first else ', '}[{dib.k}, %d]{pos_end}"
     out_a, in_a, j = head + a_end, f"{head}, {fragment}{a_end}", dib.j
-    return (CellTable(lambda v: (out_a, mu_end, pos % (v + j)), n),
-            CellTable(lambda v: (in_a, f", {v}{mu_end}", pos % (v + j)), n))
+    return (lambda v: (out_a, mu_end, pos % (v + j)),
+            lambda v: (in_a, f", {v}{mu_end}", pos % (v + j)))
 
 
 def _kekule_rows(spec: StripSpec, end: str):
@@ -344,11 +340,11 @@ def _kekule_rows(spec: StripSpec, end: str):
     poset = build_poset(spec)
     fragments = [json.dumps({"k": d.k, "j": d.j}) for d in poset.elements]
     last = poset.p - 1
-    cells = [
-        _dib_cells(d, f, spec.n, i == 0, i == last, end)
+    renders = [
+        _dib_cells(d, f, i == 0, i == last, end)
         for i, (d, f) in enumerate(zip(poset.elements, fragments))
     ]
-    return fragments, kekule_walk(poset, spec.n, cells)
+    return fragments, kekule_walk(poset, spec.n, renders)
 
 
 def _run_kekule(args: SimpleNamespace) -> int:
@@ -359,32 +355,34 @@ def _run_kekule(args: SimpleNamespace) -> int:
 
 def _run_clar(args: SimpleNamespace) -> int:
     # A Clar cover line is its structure's kekule line with the aromatic
-    # list, which depends on A alone, before the closing brace. Each
-    # structure's covers go out in one write, or one per block of
-    # subset_blocks when A is too large to double out at once. The
-    # bounds keep the cache's memory constant whatever the strip.
+    # list, which depends on A alone, before the closing brace. The lists
+    # of the subsets of A's first `low` members are doubled out once per A
+    # and cached; each nonempty subset of the rest, in ascending mask
+    # order, writes them again with its members appended, so no write
+    # holds more than ROW_BLOCK lines.
     fragments, rows = _kekule_rows(_spec(args), '], "aromatic": [')
-    p = len(fragments)
+    p, low = len(fragments), ROW_BLOCK.bit_length() - 1
     write = sys.stdout.write
     tails, held = {}, 0
     for mask, row in rows:
         prefix = "".join(row).replace("[, ", "[")
-        aromatic = tails.get(mask)
-        if aromatic is None:
+        cached = tails.get(mask)
+        if cached is None:
             members = [fragments[i] for i in range(p) if mask >> i & 1]
-            if len(members) > BLOCK_BITS:
-                for block in subset_blocks(members):
-                    write(prefix + ("]}\n" + prefix).join(map(", ".join, block)) + "]}\n")
-                continue
-            if len(tails) >= _ENTRIES or held >= _TAILS_HELD:
+            if held >= _TAILS_HELD:
                 tails.clear()
                 held = 0
             aromatic = [""]
-            for f in members:
+            for f in members[:low]:
                 aromatic += [f] + [a + ", " + f for a in aromatic[1:]]
-            tails[mask] = aromatic
+            cached = tails[mask] = aromatic, members[low:]
             held += len(aromatic)
-        write(prefix + ("]}\n" + prefix).join(aromatic) + "]}\n")
+        aromatic, rest = cached
+        join = ("]}\n" + prefix).join
+        write(prefix + join(aromatic) + "]}\n")
+        for high in range(1, 1 << len(rest)):
+            tail = ", ".join([f for t, f in enumerate(rest) if high >> t & 1])
+            write(prefix + join([tail] + [a + ", " + tail for a in aromatic[1:]]) + "]}\n")
     return 0
 
 

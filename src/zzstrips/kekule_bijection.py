@@ -15,26 +15,25 @@ The enumeration reads the bijection from the offset side: the Kekule
 structures are exactly the order-preserving maps P -> {0..n}, of
 which there are Omega(P, n + 1) (Stanley, EC1 3.12). ``kekule_walk``
 lists those maps depth first, one step per map and none per subset,
-and reads A off each as it goes, writing the caller's cell for each
-offset it sets into one row; ``enumerate_kekule`` turns the rows of
-``offset_cells`` into (A, mu) pairs. A ``CellTable`` renders cells on
+and reads A off each as it goes, writing the cell that the caller's
+render gives each offset it sets into one row; ``enumerate_kekule``
+turns the rows of offsets and positions into (A, mu) pairs. The walk
+keeps each render's cells in a ``CellTable``, which renders cells on
 first use and holds a bounded number of them.
 
 A structure stands for the 2^|A| Clar covers whose aromatic rings are
-the subsets of A; ``subset_blocks`` lists those subsets in ascending
-bitmask order, at most 2^BLOCK_BITS at a time, so a caller can write
-one block of covers at once in bounded memory.
+the subsets of A; ``generate_clar_covers`` lists them in ascending
+bitmask order over A, doubling out A's first BLOCK_BITS members once
+and appending each subset of the rest.
 """
 
 from __future__ import annotations
 
 from operator import ge
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .dib_poset import Dib, DibPoset, _bits, build_poset, natural_labeling
 from .strip_geometry import StripSpec
-
-T = TypeVar("T")
 
 
 class OrderMap(
@@ -177,24 +176,15 @@ class CellTable(dict):
         return run[offset]
 
 
-def offset_cells(poset: DibPoset, n: int) -> list[tuple[CellTable, CellTable]]:
-    """The cells that make ``kekule_walk``'s rows the offsets and then the
-    positions: DIB i's cell at offset v is (v, v + j), in A or not."""
-    cells = []
-    for e in poset.elements:
-        table = CellTable(lambda v, j=e.j: (v, v + j), n)
-        cells.append((table, table))
-    return cells
-
-
 def kekule_walk(
-    poset: DibPoset, n: int, cells: Sequence[tuple[Sequence[tuple], Sequence[tuple]]]
+    poset: DibPoset, n: int, renders: Sequence[tuple[Callable[[int], tuple], ...]]
 ) -> Iterator[tuple[int, list]]:
     """Every Kekule structure exactly once, as (mask, row): mask has bit
     i set when DIB i (canonical (k, j) index) is in A, and row[c * p + i]
-    is piece c of DIB i's cell. cells[i][in_a][v], read at offsets v in
-    0..n only, is DIB i's cell at offset v = pos - j, in A when in_a;
-    all cells have the same number of pieces.
+    is piece c of DIB i's cell. renders[i][in_a](v), called at offsets v
+    in 0..n only, is DIB i's cell at offset v = pos - j, in A when in_a;
+    all cells have the same number of pieces. The walk keeps each
+    render's cells in a CellTable of its own.
 
     The offsets are the weakly order-preserving maps P -> {0..n}, listed
     in lexicographic order of the offset vector read in natural-label
@@ -213,8 +203,8 @@ def kekule_walk(
     labeling = natural_labeling(poset)
     order = sorted(range(p), key=lambda i: labeling.label_of(poset.elements[i]))
     covers = [[order[c] for c in lows] for lows in labeling.lower_covers]
-    outside = [out for out, _ in cells]
-    inside = [in_a for _, in_a in cells]
+    outside = [CellTable(out, n) for out, _ in renders]
+    inside = [CellTable(in_a, n) for _, in_a in renders]
     # sized by one cell; every DIB's cell is written before the first yield
     row = list(outside[0][0]) * p
     offsets = [0] * p
@@ -260,7 +250,9 @@ def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignme
     ascending lexicographically, read in natural-label order."""
     poset = build_poset(spec)
     elements, p = poset.elements, poset.p
-    for mask, values in kekule_walk(poset, spec.n, offset_cells(poset, spec.n)):
+    # cells (v, v + j), in A or not: a row holds offsets, then positions
+    renders = [(lambda v, j=e.j: (v, v + j),) * 2 for e in poset.elements]
+    for mask, values in kekule_walk(poset, spec.n, renders):
         idx = [*_bits(mask)]
         yield (
             OrderMap(tuple(elements[i] for i in idx), tuple(values[i] for i in idx)),
@@ -268,35 +260,22 @@ def enumerate_kekule(spec: StripSpec) -> Iterator[tuple[OrderMap, KekuleAssignme
         )
 
 
-# Subsets are doubled out over at most this many members at once, so a
-# block holds at most 2^BLOCK_BITS of them whatever the set's size.
+# A's first BLOCK_BITS members are doubled out once per structure, so
+# no more than 2^BLOCK_BITS aromatic sets are held whatever |A| is.
 BLOCK_BITS = 8
-
-
-def subset_blocks(items: Sequence[T]) -> Iterator[list[tuple[T, ...]]]:
-    """Every subset of items as a tuple, in ascending bitmask order with
-    bit i standing for items[i], cut into blocks of at most
-    2^BLOCK_BITS subsets.
-
-    The subsets of the first BLOCK_BITS items are built by doubling:
-    each item appends itself to every subset so far. One block follows
-    per subset of the later items, in ascending mask order, each
-    appending it to every subset of the first ones."""
-    low: list[tuple[T, ...]] = [()]
-    for item in items[:BLOCK_BITS]:
-        low += [s + (item,) for s in low]
-    rest = items[BLOCK_BITS:]
-    yield low
-    for high in range(1, 1 << len(rest)):
-        tail = tuple(rest[t] for t in _bits(high))
-        yield [s + tail for s in low]
 
 
 def generate_clar_covers(spec: StripSpec) -> Iterator[ClarCoverRecord]:
     """Expand each Kekule structure, in the order of ``enumerate_kekule``,
     into its 2^|A| Clar covers, the aromatic sets in ascending bitmask
-    order over A, as ``subset_blocks`` lists them."""
+    order over A: the subsets of A's first BLOCK_BITS members, doubled
+    out, then those with each later subset appended, in mask order."""
     for om, ka in enumerate_kekule(spec):
-        for block in subset_blocks(om.elements):
-            for aromatic in block:
-                yield ClarCoverRecord(ka, aromatic, om)
+        low: list[tuple[Dib, ...]] = [()]
+        for e in om.elements[:BLOCK_BITS]:
+            low += [s + (e,) for s in low]
+        rest = om.elements[BLOCK_BITS:]
+        for high in range(1 << len(rest)):
+            tail = tuple(rest[t] for t in _bits(high))
+            for aromatic in low:
+                yield ClarCoverRecord(ka, aromatic + tail, om)

@@ -218,7 +218,14 @@ class ClosedForm(
         # Each coefficient is a sum of nonnegative terms that never
         # decrease with n, so none exceeds ZZ(S_hi, 1) = E(hi, 2).
         top = zcoeffs[-1] if seeds[-1] == hi else _group_sum(self.p, self.groups, hi)
-        width = max(ZzPolynomial(top).evaluate(2).bit_length(), hi.bit_length())
+
+        def at(coeffs: tuple[int, ...], z: int) -> int:  # Horner's rule
+            total = 0
+            for c in reversed(coeffs):
+                total = total * z + c
+            return total
+
+        width = max(at(top, 2).bit_length(), hi.bit_length())
         slots = self.p + 2
         if width <= 64:
             width, row_bytes = 64, 8 * slots
@@ -237,7 +244,7 @@ class ClosedForm(
         # first n of the next block. Its slots may be negative, but the
         # additions are exact on the whole int and only rows are decoded.
         z = 1 + (1 << width)
-        rows = [n | ZzPolynomial(c).evaluate(z) << width for n, c in zip(seeds, zcoeffs)]
+        rows = [n | at(c, z) << width for n, c in zip(seeds, zcoeffs)]
         diffs: list[int] = []
         while rows:
             diffs.append(rows[0])

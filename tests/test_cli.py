@@ -358,42 +358,57 @@ class TestKekuleLineEncoding:
         assert out.splitlines() == expected
 
 
+def _clar_lines(spec):
+    """json.dumps of each generate_clar_covers record, with the (A, mu)
+    that map_from_kekule reads off its structure."""
+    lines = []
+    for rec in generate_clar_covers(spec):
+        om = map_from_kekule(spec, rec.base)
+        lines.append(json.dumps({
+            "A": [{"k": d.k, "j": d.j} for d in om.elements],
+            "mu": list(om.values),
+            "pos": [[e.k, p] for e, p in zip(rec.base.elements, rec.base.positions)],
+            "aromatic": [{"k": d.k, "j": d.j} for d in rec.aromatic],
+        }))
+    return lines
+
+
 class TestClarLineEncoding:
     @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2", "WRN 12"])
     def test_lines_equal_json_dumps(self, capsys, text):
-        spec = parse_strip(text)
-        expected = []
-        for rec in generate_clar_covers(spec):
-            om = map_from_kekule(spec, rec.base)
-            expected.append(json.dumps({
-                "A": [{"k": d.k, "j": d.j} for d in om.elements],
-                "mu": list(om.values),
-                "pos": [[e.k, p] for e, p in zip(rec.base.elements, rec.base.positions)],
-                "aromatic": [{"k": d.k, "j": d.j} for d in rec.aromatic],
-            }))
         code, out, _ = run_cli(capsys, "clar", text)
         assert code == 0
-        assert out.splitlines() == expected
+        assert out.splitlines() == _clar_lines(parse_strip(text))
 
-    def test_structures_split_into_blocks_write_the_same_lines(self, capsys, monkeypatch):
-        # with one-member blocks every structure with |A| > 1 takes the
-        # route that large domains take, writing several blocks
+    def test_tail_loop_follows_library_order(self, capsys, monkeypatch, small_catalog):
+        # at ROW_BLOCK 2 clar doubles out one member of A, so every A of
+        # two or more members writes its covers through the tail loop
+        monkeypatch.setattr("zzstrips.cli.ROW_BLOCK", 2)
+        for spec in small_catalog:
+            code, out, _ = run_cli(capsys, "clar", f"{''.join(spec.shapes)} {spec.n}")
+            assert code == 0
+            assert out.splitlines() == _clar_lines(spec), spec
+
+    @pytest.mark.parametrize("row_block", [2, 4])
+    def test_structures_split_into_blocks_write_the_same_lines(
+        self, capsys, monkeypatch, row_block
+    ):
+        # at ROW_BLOCK 2 and 4 clar doubles out one and two members of A,
+        # so every structure with a larger A writes several blocks
         _, whole, _ = run_cli(capsys, "clar", "WWRNN 3")
-        monkeypatch.setattr("zzstrips.kekule_bijection.BLOCK_BITS", 1)
-        monkeypatch.setattr("zzstrips.cli.BLOCK_BITS", 1)
+        monkeypatch.setattr("zzstrips.cli.ROW_BLOCK", row_block)
         code, split, _ = run_cli(capsys, "clar", "WWRNN 3")
         assert code == 0
         assert split == whole
 
 
 class TestSubsetEntryBounds:
-    # WWRNN 3 and 5 fill neither cache at the default bounds (56 and 64
-    # subsets A); at 1 every entry is dropped before each new A
+    # WWRNN 3 and 5 do not fill clar's cache at the default bound (56 and
+    # 64 subsets A); at 1 every entry is dropped before each new A
     @pytest.mark.parametrize("text", ["WWRNN 3", "WWRNN 5"])
     @pytest.mark.parametrize("mode", ["kekule", "clar"])
     def test_bounds_of_one_write_the_same_lines(self, capsys, monkeypatch, mode, text):
         _, whole, _ = run_cli(capsys, mode, text)
-        monkeypatch.setattr("zzstrips.cli._ENTRIES", 1)
         monkeypatch.setattr("zzstrips.cli._TAILS_HELD", 1)
         code, bounded, _ = run_cli(capsys, mode, text)
         assert code == 0

@@ -1,4 +1,5 @@
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,14 +21,7 @@ from zzstrips import (
     natural_labeling,
     zz_polynomial,
 )
-from zzstrips.kekule_bijection import (
-    BLOCK_BITS,
-    CELLS_HELD,
-    KekuleAssignment,
-    kekule_walk,
-    offset_cells,
-    subset_blocks,
-)
+from zzstrips.kekule_bijection import CELLS_HELD, CellTable, KekuleAssignment, kekule_walk
 
 from reference import binom, brute_force_strict_maps, descent_stats, linear_extensions
 
@@ -431,11 +425,17 @@ class TestEnumerationOrder:
                 assert ka == kekule_from_map(spec, om, poset=poset)
 
 
+def _offset_renders(poset):
+    """Renders whose walk rows hold the offsets and then the positions:
+    DIB i's cell at offset v is (v, v + j), in A or not."""
+    return [(lambda v, j=e.j: (v, v + j),) * 2 for e in poset.elements]
+
+
 def _walk_triples(poset, n):
     """Copies of the walk's yields as (A, mu, positions) triples."""
     elements, p = poset.elements, poset.p
     triples = []
-    for mask, values in kekule_walk(poset, n, offset_cells(poset, n)):
+    for mask, values in kekule_walk(poset, n, _offset_renders(poset)):
         idx = [i for i in range(p) if mask >> i & 1]
         triples.append(
             (tuple(elements[i] for i in idx), tuple(values[i] for i in idx), tuple(values[p:]))
@@ -464,7 +464,7 @@ class TestKekuleWalk:
             poset = build_poset(spec)
             index = {e: i for i, e in enumerate(poset.elements)}
             labels = [index[e] for e in natural_labeling(poset).elements_by_label]
-            walk = kekule_walk(poset, spec.n, offset_cells(poset, spec.n))
+            walk = kekule_walk(poset, spec.n, _offset_renders(poset))
             vectors = [[values[i] for i in labels] for _, values in walk]
             assert all(a < b for a, b in zip(vectors, vectors[1:])), spec
 
@@ -474,7 +474,7 @@ class TestKekuleWalk:
         for spec in small_catalog:
             poset = build_poset(spec)
             p, elements = poset.p, poset.elements
-            walk = kekule_walk(poset, spec.n, offset_cells(poset, spec.n))
+            walk = kekule_walk(poset, spec.n, _offset_renders(poset))
             kept = [(mask, values.copy()) for mask, values in walk]
             for mask, values in kept:
                 ka = KekuleAssignment(elements, tuple(values[p:]))
@@ -545,12 +545,9 @@ class TestKekuleWalkBruteForce:
         # cells tagged by membership: every row's tags are its mask's bits,
         # and its values the offsets of the walk with int cells
         p = poset.p
-        tagged = [
-            ([("out", v) for v in range(n + 1)], [("in", v) for v in range(n + 1)])
-            for _ in range(p)
-        ]
+        tagged = [(lambda v: ("out", v), lambda v: ("in", v))] * p
         rows = [(mask, row.copy()) for mask, row in kekule_walk(poset, n, tagged)]
-        walk = kekule_walk(poset, n, offset_cells(poset, n))
+        walk = kekule_walk(poset, n, _offset_renders(poset))
         ints = [(mask, values.copy()) for mask, values in walk]
         assert [mask for mask, _ in rows] == [mask for mask, _ in ints]
         for (mask, row), (_, values) in zip(rows, ints):
@@ -559,19 +556,27 @@ class TestKekuleWalkBruteForce:
 
 
 class TestCellTables:
-    def test_walk_keeps_tables_within_bound(self):
-        # at p = 1 the walk runs the DIB's 5,001 offsets in turn, so full
-        # tables would hold every one of them
+    # at p = 1 the walk runs the DIB's 5,001 offsets of WN 5000 in turn,
+    # so a table that never cleared would hold every one of them
+    def test_table_keeps_within_bound(self):
+        rendered = []
+
+        def render(v):
+            rendered.append(v)
+            return v, v + 1
+
+        table = CellTable(render, 5000)
+        for v in range(5001):
+            assert table[v] == (v, v + 1)
+            assert len(table) <= CELLS_HELD
+        assert rendered == list(range(5001))
+
+    def test_walk_rows_on_long_strip(self):
         spec = StripSpec(tuple("WN"), 5000)
         poset = build_poset(spec)
-        cells = offset_cells(poset, spec.n)
-        tables = [table for pair in cells for table in pair]
-        rows, largest = [], 0
-        for _, values in kekule_walk(poset, spec.n, cells):
-            rows.append(values.copy())
-            largest = max(largest, *map(len, tables))
+        walk = kekule_walk(poset, spec.n, _offset_renders(poset))
+        rows = [values.copy() for _, values in walk]
         assert rows == [[v, v + 1] for v in range(spec.n + 1)]
-        assert largest <= CELLS_HELD
 
 
 class TestClarRecordOrderMap:
@@ -611,18 +616,27 @@ class TestShortSubsets:
         assert len(structures) == count
 
 
-class TestSubsetBlocks:
-    @pytest.mark.parametrize("size", [0, 1, 3, BLOCK_BITS, BLOCK_BITS + 3])
-    def test_blocks_list_subsets_in_ascending_mask_order(self, size):
-        items = [f"x{i}" for i in range(size)]
-        blocks = list(subset_blocks(items))
-        assert all(len(block) <= 1 << BLOCK_BITS for block in blocks)
-        flat = [subset for block in blocks for subset in block]
-        assert flat == [
-            tuple(items[i] for i in range(size) if mask >> i & 1) for mask in range(1 << size)
-        ]
+# generate_clar_covers doubles out A's first BLOCK_BITS members; at 2
+# the structures of WWRNN 3, with |A| from 0 to 5, give every case
+PATCHED_BITS = 2
 
-    def test_clar_records_follow_blocks(self):
+
+class TestClarCoverOrder:
+    @pytest.mark.parametrize("size", [0, 1, 3, PATCHED_BITS, PATCHED_BITS + 3])
+    def test_aromatic_sets_in_ascending_mask_order(self, monkeypatch, size):
+        monkeypatch.setattr("zzstrips.kekule_bijection.BLOCK_BITS", PATCHED_BITS)
+        structures = 0
+        for om, records in groupby(generate_clar_covers(StripSpec(tuple("WWRNN"), 3)),
+                                   key=lambda r: r.order_map):
+            if om.size == size:
+                structures += 1
+                assert [r.aromatic for r in records] == [
+                    tuple(om.elements[i] for i in range(size) if mask >> i & 1)
+                    for mask in range(1 << size)
+                ]
+        assert structures
+
+    def test_clar_records_follow_enumeration(self):
         spec = StripSpec(tuple("WWRNN"), 3)
         records = list(generate_clar_covers(spec))
         expected = [
