@@ -29,7 +29,7 @@ from .dib_poset import Dib, build_poset, natural_labeling
 from .errors import GuardExceeded, InvalidStripError, NonKekuleanError, StripParseError
 from .extension_engine import extension_records
 from .kekule_bijection import kekule_walk
-from .order_polynomials import ROW_BLOCK, ZzPolynomial, closed_form, zz_polynomial
+from .order_polynomials import ROW_BLOCK, ClosedForm, ZzPolynomial, closed_form, zz_polynomial
 from .oracle import count_clar_covers, count_sextet_matchings
 from .strip_geometry import (
     StripSpec,
@@ -296,6 +296,14 @@ def _run_zz(args: SimpleNamespace) -> int:
     return 0
 
 
+def _form_json(shapes_json: str, cf: ClosedForm, n: int | None) -> str:
+    """json.dumps of {"shapes", "closed_form"} and, given n, "n" and "zz"."""
+    text = '{"shapes": ' + shapes_json + ', "closed_form": ' + cf.to_json()
+    if n is not None:
+        text += f', "n": {n}, "zz": ' + cf.evaluate(n).to_json()
+    return text + "}"
+
+
 def _run_closed_form(args: SimpleNamespace) -> int:
     # --shapes without --length asks for the form alone. The poset and
     # the form do not depend on n, and n = 2 keeps every Kekulean family
@@ -304,10 +312,7 @@ def _run_closed_form(args: SimpleNamespace) -> int:
     symbolic = args.length is None and not (args.strip or args.file)
     cf = closed_form(spec)
     if args.fmt == "json":
-        data = {"shapes": list(spec.shapes), "closed_form": cf.to_dict()}
-        if not symbolic:
-            data.update(n=spec.n, zz={"coeffs": list(cf.evaluate(spec.n).coeffs)})
-        print(json.dumps(data))
+        print(_form_json(json.dumps(spec.shapes), cf, None if symbolic else spec.n))
     elif args.fmt == "latex":
         print(cf.as_latex())
     else:
@@ -435,10 +440,7 @@ def _run_catalog(args: SimpleNamespace) -> int:
         except InvalidStripError:
             continue
         if args.fmt == "json":
-            data = {"shapes": "".join(shapes), "closed_form": cf.to_dict()}
-            if args.length is not None:
-                data.update(n=n, zz={"coeffs": list(cf.evaluate(n).coeffs)})
-            print(json.dumps(data))
+            print(_form_json('"' + "".join(shapes) + '"', cf, args.length))
         else:
             line = f"{''.join(shapes)}  p={cf.p}  {cf.as_text()}"
             if args.length is not None:

@@ -286,15 +286,8 @@ class ClosedForm(
         body = " + ".join(self._term_pieces(d, f, m, latex=True) for d, f, m in self.groups)
         return rf"\sum_{{k=0}}^{{{self.p}}} \left[ {body} \right] (1+x)^{{k}}"
 
-    def to_dict(self) -> dict:
-        """The JSON object of ``to_json``, before encoding."""
-        return {
-            "p": self.p,
-            "groups": [{"des": d, "fix": f, "mult": m} for d, f, m in self.groups],
-        }
-
     def to_json(self) -> str:
-        """json.dumps(self.to_dict()), built from the ints directly."""
+        """json.dumps of {"p", "groups": [{"des", "fix", "mult"}, ..]}, built by hand."""
         groups = ", ".join(f'{{"des": {d}, "fix": {f}, "mult": {m}}}' for d, f, m in self.groups)
         return f'{{"p": {self.p}, "groups": [{groups}]}}'
 

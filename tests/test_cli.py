@@ -132,7 +132,7 @@ class TestZzMode:
                 "shapes": list(shapes),
                 "n": n,
                 "zz": {"coeffs": list(evaluate_form(cf, n).coeffs)},
-                "closed_form": cf.to_dict(),
+                "closed_form": json.loads(cf.to_json()),
             })
             for n in range(1, 31)
         ]
@@ -157,7 +157,7 @@ class TestZzMode:
                 data["zz"] = {"coeffs": []}
             else:
                 data["zz"] = {"coeffs": list(evaluate_form(cf, n).coeffs)}
-                data["closed_form"] = cf.to_dict()
+                data["closed_form"] = json.loads(cf.to_json())
             expected.append(json.dumps(data) + "\n")
         assert out == "".join(expected)
 
@@ -175,16 +175,27 @@ class TestZzMode:
             singles.append(single[1])
         assert out == "".join(singles)
 
-    @pytest.mark.parametrize("shapes, hi", [("WWWWRNNNN", 300), ("WWWNNN", 600)])
-    def test_n_range_block_lines_equal_json_dumps(self, capsys, shapes, hi):
-        # WWWWRNNNN: rows without the x^20 term, slots wider than 64 bits
-        # and one block boundary; WWWNNN: 64-bit slots, two boundaries
-        code, out, err = run_cli(capsys, "zz", "--shapes", shapes, "--n-range", f"1..{hi}",
+    @pytest.mark.parametrize(
+        "shapes, lo, hi", [("WWWWRNNNN", 1, 300), ("WWWWRNNNN", 170, 200), ("WWWNNN", 1, 600)]
+    )
+    def test_n_range_block_lines_equal_json_dumps(self, capsys, shapes, lo, hi):
+        # WWWWRNNNN from 1: rows without the x^20 term, slots wider than
+        # 64 bits and one block boundary; from 170: 133-bit slots with
+        # seed rows of their own; WWWNNN: 64-bit slots, two boundaries
+        code, out, err = run_cli(capsys, "zz", "--shapes", shapes, "--n-range", f"{lo}..{hi}",
                                  "--format", "json")
         assert (code, err) == (0, "")
-        lines = out.splitlines()
-        assert [json.dumps(json.loads(line)) for line in lines] == lines
-        assert [json.loads(line)["n"] for line in lines] == list(range(1, hi + 1))
+        cf = closed_form(StripSpec(tuple(shapes), lo))
+        expected = [
+            json.dumps({
+                "shapes": list(shapes),
+                "n": n,
+                "zz": {"coeffs": list(evaluate_form(cf, n).coeffs)},
+                "closed_form": json.loads(cf.to_json()),
+            })
+            for n in range(lo, hi + 1)
+        ]
+        assert out.splitlines() == expected
 
     def test_n_range_json_non_kekulean(self, capsys):
         code, out, err = run_cli(capsys, "zz", "--shapes", "WNNWWN", "--n-range", "4..6",
@@ -254,10 +265,12 @@ class TestExtensionsMode:
         ]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("text, p, count", [("WWRNN 3", 6, 5), ("WWWRNNN 3", 12, 462)])
+    @pytest.mark.parametrize(
+        "text, p, count", [("WWRNN 3", 6, 5), ("WWWRNNN 3", 12, 462), ("WWWNWNNN 3", 14, 24024)]
+    )
     def test_lines_equal_the_records(self, capsys, text, p, count, fmt):
-        # 462 lines are two blocks of writes; past p = 9 the word's
-        # labels are separated by spaces
+        # 462 lines are two blocks of writes, 24,024 many; past p = 9 the
+        # word's labels are separated by spaces
         poset = build_poset(parse_strip(text))
         assert poset.p == p
         records = list(extension_records(natural_labeling(poset)))
@@ -322,10 +335,12 @@ class TestEnumerationModes:
         assert orders == [0] * 6 + [1] * 6 + [2]
 
     def test_kekule_p49_exits_0(self, capsys):
-        # 2^49 subsets of DIBs, 3,432 structures
+        # 2^49 subsets of DIBs, 3,432 structures: as many as ZZ(0) of the
+        # packed (des, fix) DP, whose slots are about 210 bits wide here
         code, out, err = run_cli(capsys, "kekule", "WWWWWWWNNNNNNN 1")
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 3432
+        assert zz_polynomial(parse_strip("WWWWWWWNNNNNNN 1")).kekule_count == 3432
 
     @pytest.mark.parametrize("mode", ["kekule", "clar"])
     def test_format_is_json_only(self, capsys, mode):
@@ -374,7 +389,8 @@ def _clar_lines(spec):
 
 
 class TestClarLineEncoding:
-    @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2", "WRN 12"])
+    # WWRNN 5: 14,921 covers in many blocks of writes
+    @pytest.mark.parametrize("text", ["WN 1", "WRN 2", "WWRNN 2", "WRN 12", "WWRNN 5"])
     def test_lines_equal_json_dumps(self, capsys, text):
         code, out, _ = run_cli(capsys, "clar", text)
         assert code == 0
